@@ -178,6 +178,8 @@ class GaussianRational:
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
+    __complex__ = to_complex
+
     def __str__(self):
         if not self.im:
             return str(self.re)
@@ -226,12 +228,8 @@ def _one(kind):
     return GaussianRational(1) if kind == EXACT else 1 + 0j
 
 
-def _scalar_to_complex(x) -> complex:
-    return x.to_complex() if isinstance(x, GaussianRational) else complex(x)
-
-
 def _scalar_abs(x) -> float:
-    return abs(_scalar_to_complex(x))
+    return abs(complex(x))
 
 
 class Vec3:
@@ -415,7 +413,7 @@ class _SquareMatrix:
 
     def to_numpy(self) -> np.ndarray:
         return np.array(
-            [[_scalar_to_complex(x) for x in r] for r in self.rows], dtype=complex
+            [[complex(x) for x in r] for r in self.rows], dtype=complex
         )
 
     @classmethod
@@ -524,13 +522,15 @@ class Mat3(_SquareMatrix):
         half = GaussianRational(_Q(1, 2)) if self.kind == EXACT else 0.5
         return (self - self.transpose()).scale(half)
 
-    def rank(self, tol: float | None = None) -> int:
+    def rank(self, tol: float | None = None, floor: float = 0.0) -> int:
         """Rank of the matrix.
 
         Exact matrices are row-reduced over the field (``tol`` must be 0 or
-        omitted).  Floating matrices count singular values above
-        ``tol * sigma_max`` with ``tol`` defaulting to 1e-8; the zero matrix
-        has rank 0.
+        omitted; ``floor`` is ignored).  Floating matrices count singular
+        values above ``tol * max(sigma_max, floor)`` with ``tol`` defaulting
+        to 1e-8; the zero matrix has rank 0.  The floor carries the scale
+        of the object a matrix was derived from, so that a derived matrix
+        that is mathematically zero but numerically noise has rank 0.
         """
         if self.kind == EXACT:
             if tol not in (None, 0, 0.0):
@@ -541,7 +541,7 @@ class Mat3(_SquareMatrix):
         sv = np.linalg.svd(self.to_numpy(), compute_uv=False)
         if sv[0] == 0.0:
             return 0
-        return int((sv > tol * sv[0]).sum())
+        return int((sv > tol * max(float(sv[0]), floor)).sum())
 
 
 def _exact_rank(rows) -> int:
@@ -635,7 +635,7 @@ class JordanSignature:
         for (la, ba), (lb, bb) in zip(self.entries, other.entries):
             if ba != bb:
                 return False
-            if abs(_scalar_to_complex(la) - _scalar_to_complex(lb)) > tol:
+            if abs(complex(la) - complex(lb)) > tol:
                 return False
         return True
 
@@ -685,7 +685,7 @@ def jordan_signature(A: Mat3, tol: float = DEFAULT_JORDAN_TOL, eigvals=None) -> 
     for lam, mult in items:
         sizes = _block_sizes(A, lam, mult, rank_tol)
         entries.append((lam, sizes))
-    entries.sort(key=lambda e: (_scalar_to_complex(e[0]).real, _scalar_to_complex(e[0]).imag))
+    entries.sort(key=lambda e: (complex(e[0]).real, complex(e[0]).imag))
     return JordanSignature(tuple(entries))
 
 
@@ -717,19 +717,6 @@ def _min_intercluster_gap(groups):
     return gap
 
 
-def _floored_rank(M: Mat3, tol: float, floor: float) -> int:
-    """Floating rank with the threshold floored at ``tol * floor``.
-
-    Plain relative rank degenerates on matrices that are mathematically
-    zero but numerically noise; the floor carries the scale of the object
-    the matrix was derived from.
-    """
-    sv = np.linalg.svd(M.to_numpy(), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int((sv > tol * max(float(sv[0]), floor)).sum())
-
-
 def _block_sizes(A: Mat3, lam, mult: int, rank_tol) -> tuple:
     shifted = A - Mat3.identity_like(A).scale(lam)
     ranks = [3]
@@ -739,7 +726,7 @@ def _block_sizes(A: Mat3, lam, mult: int, rank_tol) -> tuple:
         # threshold at the matching power of the shifted matrix's scale
         scale = max(float(np.linalg.norm(shifted.to_numpy(), 2)), 1.0)
         for p in range(1, mult + 1):
-            ranks.append(_floored_rank(power, rank_tol, scale**p))
+            ranks.append(power.rank(rank_tol, scale**p))
             power = power @ shifted
         return _sizes_from_ranks(ranks, mult, lam)
     for _ in range(mult):

@@ -16,14 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import so3c
-from .linalg import (
-    EXACT,
-    GaussianRational,
-    Mat3,
-    _Q,
-    _floored_rank,
-    _scalar_to_complex,
-)
+from .linalg import EXACT, GaussianRational, Mat3, _Q
 
 __all__ = [
     "FamilyKind",
@@ -48,8 +41,6 @@ DEFAULT_WITNESS_TOL = 1e-8
 DEFAULT_BUDGET = 64
 #: a prefilter mismatch must exceed this multiple of the tolerance
 PREFILTER_MARGIN = 10.0
-_K_SNAP_TOL = 1e-9
-_K_SNAP_MAX_DEN = 32
 
 
 class NotASolution(ValueError):
@@ -106,7 +97,7 @@ class FamilyTag:
             return False
         if self.kind != FamilyKind.K_FAMILY:
             return True
-        return abs(_scalar_to_complex(self.k) - _scalar_to_complex(other.k)) <= tol
+        return abs(complex(self.k) - complex(other.k)) <= tol
 
 
 @dataclass(frozen=True)
@@ -261,7 +252,7 @@ def _rank_of(M: Mat3, tol: float, floor: float) -> int:
     """
     if M.kind == EXACT:
         return M.rank()
-    return _floored_rank(M, tol, floor)
+    return M.rank(tol, floor)
 
 
 def _shifted_sym_rank(A: Mat3, tol: float) -> int:
@@ -273,7 +264,7 @@ def _shifted_sym_rank(A: Mat3, tol: float) -> int:
 def _char_poly_mismatch(pa, pb, tol: float, exact: bool) -> bool:
     if exact:
         return pa != pb
-    gap = max(abs(_scalar_to_complex(a) - _scalar_to_complex(b)) for a, b in zip(pa, pb))
+    gap = max(abs(complex(a) - complex(b)) for a, b in zip(pa, pb))
     return gap > PREFILTER_MARGIN * tol
 
 
@@ -419,26 +410,6 @@ def congruence_test(
 # classification
 
 
-def _snap_small_rational(z: complex):
-    """Return the nearest small rational as GaussianRational when z is
-    within 1e-9 of one, otherwise the complex value unchanged."""
-    parts = []
-    for x in (z.real, z.imag):
-        fr = Fraction(x).limit_denominator(_K_SNAP_MAX_DEN)
-        if abs(float(fr) - x) > _K_SNAP_TOL:
-            return complex(z)
-        parts.append(fr)
-    return GaussianRational(parts[0], parts[1])
-
-
-def _extract_k(A: Mat3):
-    """KFamily parameter k = tr(A) + 1."""
-    t = A.trace() + 1
-    if A.kind == EXACT:
-        return t
-    return _snap_small_rational(complex(t))
-
-
 def classify(
     A: Mat3,
     tol: float = DEFAULT_CLASSIFY_TOL,
@@ -451,7 +422,8 @@ def classify(
     The decision tree uses congruence invariants only: rank(A) splits the
     five families except for two ambiguous spots, which are resolved by
     rank(A'A) (trace -2, rank 2) and by rank(sym(A) + I/2) (rank 1).
-    Raises :class:`NotASolution` when the residual exceeds ``tol`` and
+    A KFamily tag carries k as a GaussianRational for exact input and as a
+    complex for floating input, on every branch.  Raises :class:`NotASolution` when the residual exceeds ``tol`` and
     :class:`Inconclusive` when no branch matches, which cannot happen for
     true solutions.
     """
@@ -476,18 +448,18 @@ def classify(
         s = _shifted_sym_rank(A, tol)
         invariants.append(("rank(sym(A)+I/2)", s))
         if s == 1:
-            tag = FamilyTag.k_family(GaussianRational(0) if exact else _snap_small_rational(0j))
+            tag = FamilyTag.k_family(GaussianRational(0) if exact else 0j)
         elif s == 2:
             tag = FamilyTag.non_sym_rank1()
     elif r == 2:
-        t = A.trace()
+        t = A.trace()  # a KFamily member has k = tr(A) + 1
         invariants.append(("tr(A)", t))
         if exact:
             at_minus_2 = t == GaussianRational(-2)
         else:
             at_minus_2 = abs(complex(t) + 2) <= tol
         if not at_minus_2:
-            tag = FamilyTag.k_family(_extract_k(A))
+            tag = FamilyTag.k_family(t + 1)
         else:
             ata = A.transpose() @ A
             ra = _rank_of(ata, tol, _spectral_scale(A) ** 2)
@@ -495,7 +467,7 @@ def classify(
             if ra == 2:
                 tag = FamilyTag.trace_minus_2()
             elif ra == 1:
-                tag = FamilyTag.k_family(_extract_k(A))
+                tag = FamilyTag.k_family(t + 1)
     if tag is None:
         raise Inconclusive(f"no branch matches invariants {invariants}")
 

@@ -32,6 +32,8 @@ __all__ = [
     "NotAdjointForm",
     "bracket",
     "bracket_via_2x2",
+    "basis_2x2",
+    "coords_from_2x2",
     "circ_from_matrix",
     "matrix_from_circ",
     "check_postlie",
@@ -143,34 +145,37 @@ def bracket_via_2x2(x: Vec3, y: Vec3) -> Vec3:
     extracts coordinates again; must agree with :func:`bracket`.
     """
     mx, my = _embed_2x2(x), _embed_2x2(y)
-    comm = (mx @ my) - (my @ mx)
-    return _extract_2x2(comm, x.kind if x.kind == y.kind else FLOATING)
+    return coords_from_2x2((mx @ my) - (my @ mx))
+
+
+def basis_2x2(exact: bool = True) -> tuple[Mat2, Mat2, Mat2]:
+    """The fixed basis as traceless 2x2 matrices.
+
+    Matrix commutators of e1, e2, e3 realize the bracket, and the trace
+    pairing -2 tr(e_i e_j) is the Kronecker delta.
+    """
+    if exact:
+        h = GaussianRational(_Q(1, 2))
+        ih = GaussianRational(0, _Q(1, 2))
+        z = GaussianRational(0)
+    else:
+        h, ih, z = 0.5 + 0j, 0.5j, 0j
+    e1 = Mat2([[z, h], [-h, z]])
+    e2 = Mat2([[z, -ih], [-ih, z]])
+    e3 = Mat2([[-ih, z], [z, ih]])
+    return e1, e2, e3
+
+
+def coords_from_2x2(X: Mat2) -> Vec3:
+    """Coordinates x_j = -2 tr(X e_j) of a traceless 2x2 matrix."""
+    exact = X.kind == EXACT
+    minus_two = GaussianRational(-2) if exact else -2.0
+    return Vec3([minus_two * (X @ e).trace() for e in basis_2x2(exact)])
 
 
 def _embed_2x2(v: Vec3) -> Mat2:
-    if v.kind == EXACT:
-        half = GaussianRational(_Q(1, 2))
-        ihalf = GaussianRational(0, _Q(1, 2))
-    else:
-        half, ihalf = 0.5 + 0j, 0.5j
-    v1, v2, v3 = v.coords
-    return Mat2(
-        [
-            [-ihalf * v3, half * v1 - ihalf * v2],
-            [-half * v1 - ihalf * v2, ihalf * v3],
-        ]
-    )
-
-
-def _extract_2x2(m: Mat2, kind) -> Vec3:
-    if kind == EXACT:
-        i_unit = GaussianRational(0, 1)
-        two_i = GaussianRational(0, 2)
-    else:
-        i_unit, two_i = 1j, 2j
-    m11, m12 = m.rows[0]
-    m21 = m.rows[1][0]
-    return Vec3([m12 - m21, i_unit * (m12 + m21), two_i * m11])
+    e1, e2, e3 = basis_2x2(v.kind == EXACT)
+    return e1.scale(v[0]) + e2.scale(v[1]) + e3.scale(v[2])
 
 
 def circ_from_matrix(A: Mat3) -> StructureConstants:
@@ -311,7 +316,6 @@ def _validate_fixed_bracket() -> bool:
     if check_jacobi(LIE_BRACKET):
         return False
     es = _basis(EXACT)
-    expected = {(1, 2): es[2], (2, 0): es[1], (0, 1): es[2]}
     return (
         bracket(es[1], es[2]) == es[0]
         and bracket(es[2], es[0]) == es[1]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EXACT, GaussianRational, Mat2, Mat3, _Q
+from .sl2 import basis_2x2, coords_from_2x2
 
 __all__ = [
     "OrthogonalMatrix",
@@ -116,19 +117,6 @@ def random_so3_exact(seed: int) -> Mat3:
     raise RuntimeError("random_so3_exact failed to draw a usable matrix")
 
 
-def _basis_2x2(exact: bool) -> tuple[Mat2, Mat2, Mat2]:
-    if exact:
-        h = GaussianRational(_Q(1, 2))
-        ih = GaussianRational(0, _Q(1, 2))
-        z = GaussianRational(0)
-    else:
-        h, ih, z = 0.5 + 0j, 0.5j, 0j
-    e1 = Mat2([[z, h], [-h, z]])
-    e2 = Mat2([[z, -ih], [-ih, z]])
-    e3 = Mat2([[-ih, z], [z, ih]])
-    return e1, e2, e3
-
-
 def adjoint_rep(P: Mat2) -> Mat3:
     """Matrix of X -> P X P^-1 on the fixed basis (rows are basis images).
 
@@ -139,15 +127,10 @@ def adjoint_rep(P: Mat2) -> Mat3:
     d = P.det()
     if (P.kind == EXACT and not d) or (P.kind != EXACT and d == 0):
         raise Singular("adjoint_rep needs an invertible 2x2 matrix")
-    exact = P.kind == EXACT
-    basis = _basis_2x2(exact)
-    minus_two = GaussianRational(-2) if exact else -2.0
     Pinv = P.inverse()
-    rows = []
-    for ei in basis:
-        X = (P @ ei) @ Pinv
-        rows.append([minus_two * (X @ ej).trace() for ej in basis])
-    return Mat3(rows)
+    return Mat3(
+        [coords_from_2x2((P @ e) @ Pinv).coords for e in basis_2x2(P.kind == EXACT)]
+    )
 
 
 def automorphism_check(T: Mat3, tol: float = 1e-10) -> bool:

@@ -1,11 +1,11 @@
 """Multistart damped Newton root-finding for the matrix equation.
 
-The residual map is treated as a system over the 18 real coordinates
-(real parts of the 9 entries first, then imaginary parts).  The map is
-polynomial, hence holomorphic, so the real Jacobian is assembled from the
-analytic complex Jacobian.  Starts are independent and seeded individually
-from (master seed, start index); results do not depend on evaluation
-order.
+Newton runs on the 9 complex entries of one (3,3) array.  The residual
+map is polynomial, hence holomorphic, so each step solves a 9x9 complex
+system with the analytic Jacobian; the 18x18 real Jacobian over (real
+parts, imaginary parts) is a derived view of it.  Starts are independent
+and seeded individually from (master seed, start index); results do not
+depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -54,57 +54,47 @@ class SurveyReport:
     failures: int
 
 
-def _pack(A: np.ndarray) -> np.ndarray:
-    return np.concatenate([A.real.ravel(), A.imag.ravel()])
+_I3 = np.eye(3)
+#: column order that turns a row-major vec(E) into vec(E')
+_TRANSPOSED = np.arange(9).reshape(3, 3).T.ravel()
 
 
-def _unpack(x: np.ndarray) -> np.ndarray:
-    return (x[:9] + 1j * x[9:]).reshape(3, 3)
-
-
-def _adjugate_np(A: np.ndarray) -> np.ndarray:
-    # 3x3 polynomial identity: A* = A^2 - tr(A) A + ((tr A)^2 - tr(A^2))/2 I
+def _residual(A: np.ndarray) -> np.ndarray:
+    """A'((tr A + 1) I - A) - A* on a complex (3,3) array, with the
+    Cayley-Hamilton adjugate A* = A^2 - tr(A) A + ((tr A)^2 - tr(A^2))/2 I."""
     t = np.trace(A)
     A2 = A @ A
     c1 = (t * t - np.trace(A2)) / 2
-    return A2 - t * A + c1 * np.eye(3)
+    return A.T @ ((t + 1) * _I3 - A) - (A2 - t * A + c1 * _I3)
 
 
-def _residual_np(A: np.ndarray) -> np.ndarray:
-    t = np.trace(A) + 1
-    return A.T @ (t * np.eye(3) - A) - _adjugate_np(A)
+def _jacobian(A: np.ndarray) -> np.ndarray:
+    """9x9 complex Jacobian of :func:`_residual` in row-major entry order.
 
-
-def _residual_flat(x: np.ndarray) -> np.ndarray:
-    return _pack(_residual_np(_unpack(x)))
-
-
-def _complex_jacobian(A: np.ndarray) -> np.ndarray:
-    """9x9 complex Jacobian of A -> residual(A) in row-major entry order."""
+    The derivative in direction E is
+    E'M + tr(E)(A' + A - tI) - A'E - EA - AE + tE + tr(AE) I
+    with t = tr A and M = (t + 1) I - A; row-major vec(XEY) = (X kron Y') vec(E).
+    """
     t = np.trace(A)
-    I = np.eye(3)
-    M = (t + 1) * I - A
     At = A.T
-    J = np.zeros((9, 9), dtype=complex)
-    for p in range(3):
-        for q in range(3):
-            E = np.zeros((3, 3))
-            E[p, q] = 1.0
-            dtr = 1.0 if p == q else 0.0
-            d_main = E.T @ M + At @ (dtr * I - E)
-            # from A* = A^2 - tr(A) A + c1 I with c1 = ((tr A)^2 - tr(A^2))/2
-            dc1 = t * dtr - A[q, p]
-            d_adj = E @ A + A @ E - dtr * A - t * E + dc1 * I
-            J[:, 3 * p + q] = (d_main - d_adj).ravel()
-    return J
+    M = (t + 1) * _I3 - A
+    i, a, at = _I3.ravel(), A.ravel(), At.ravel()
+    return (
+        np.kron(_I3, M.T)[:, _TRANSPOSED]
+        - np.kron(At, _I3)
+        - np.kron(_I3, At)
+        - np.kron(A, _I3)
+        + t * np.eye(9)
+        + np.outer(at + a - t * i, i)
+        + np.outer(i, at)
+    )
 
 
 def residual_jacobian(A: Mat3) -> np.ndarray:
     """18x18 real Jacobian of the residual in (real parts, imaginary parts)
-    coordinates; matches central finite differences to 1e-5 relative."""
-    Jc = _complex_jacobian(A.to_numpy())
-    re, im = Jc.real, Jc.imag
-    return np.block([[re, -im], [im, re]])
+    coordinates: the realification of the holomorphic 9x9 Jacobian."""
+    J = _jacobian(A.to_numpy())
+    return np.block([[J.real, -J.imag], [J.imag, J.real]])
 
 
 def newton_solve(
@@ -113,7 +103,7 @@ def newton_solve(
     tol: float = DEFAULT_NEWTON_TOL,
     classify_tol: float = mateq.DEFAULT_CLASSIFY_TOL,
 ) -> SolveResult:
-    """Damped Newton iteration on the 18-dimensional real system.
+    """Damped Newton iteration on the 9 complex entries.
 
     Steps fall back to Tikhonov-regularized normal equations when the
     Jacobian is singular (the solution variety is positive-dimensional
@@ -124,14 +114,14 @@ def newton_solve(
         raise ValueError("max_iter must be at least 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = _pack(A0.to_numpy())
+    A = A0.to_numpy()
     iterations = 0
-    fx = _residual_flat(x)
-    norm = float(np.linalg.norm(fx))
+    F = _residual(A)
+    norm = float(np.linalg.norm(F))
     for _ in range(max_iter):
         if norm < tol:
             break
-        x, fx, norm, accepted = _damped_step(x, fx, norm)
+        A, F, norm, accepted = _damped_step(A, F, norm)
         iterations += 1
         if not accepted:
             break
@@ -143,12 +133,12 @@ def newton_solve(
         for _ in range(POLISH_STEPS):
             if norm == 0.0:
                 break
-            x_new, f_new, n_new, accepted = _damped_step(x, fx, norm)
+            A_new, F_new, n_new, accepted = _damped_step(A, F, norm)
             if not accepted:
                 break
-            x, fx, norm = x_new, f_new, n_new
+            A, F, norm = A_new, F_new, n_new
             iterations += 1
-    A_final = Mat3.from_numpy(_unpack(x))
+    A_final = Mat3.from_numpy(A)
     classification = None
     if converged:
         try:
@@ -164,24 +154,26 @@ def newton_solve(
     )
 
 
-def _damped_step(x: np.ndarray, fx: np.ndarray, norm: float):
-    """One damped Newton step; returns (x, fx, norm, accepted)."""
-    J = residual_jacobian(Mat3.from_numpy(_unpack(x)))
+def _damped_step(A: np.ndarray, F: np.ndarray, norm: float):
+    """One damped Newton step; returns (A, F, norm, accepted)."""
+    J = _jacobian(A)
+    f = F.ravel()
     sv = np.linalg.svd(J, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        lhs = J.T @ J + TIKHONOV_SHIFT * np.eye(18)
-        step = np.linalg.solve(lhs, -J.T @ fx)
+        JH = J.conj().T
+        step = np.linalg.solve(JH @ J + TIKHONOV_SHIFT * np.eye(9), -JH @ f)
     else:
-        step = np.linalg.solve(J, -fx)
+        step = np.linalg.solve(J, -f)
+    step = step.reshape(3, 3)
     lam = 1.0
     while lam >= MIN_DAMPING:
-        x_new = x + lam * step
-        f_new = _residual_flat(x_new)
-        n_new = float(np.linalg.norm(f_new))
+        A_new = A + lam * step
+        F_new = _residual(A_new)
+        n_new = float(np.linalg.norm(F_new))
         if n_new < norm:
-            return x_new, f_new, n_new, True
+            return A_new, F_new, n_new, True
         lam *= 0.5
-    return x, fx, norm, False
+    return A, F, norm, False
 
 
 def _random_start(rng: np.random.Generator, radius: float) -> np.ndarray:
@@ -228,8 +220,7 @@ def multistart(
         name = tag.kind.value
         histogram[name] = histogram.get(name, 0) + 1
         if tag.kind == mateq.FamilyKind.K_FAMILY:
-            k = tag.k
-            k_values.append(k.to_complex() if hasattr(k, "to_complex") else complex(k))
+            k_values.append(complex(tag.k))
     return SurveyReport(
         starts=n_starts,
         converged_count=converged_count,

@@ -19,7 +19,6 @@ from .linalg import (
     IllConditioned,
     Mat3,
     _Q,
-    _scalar_to_complex,
     jordan_signature,
 )
 
@@ -108,7 +107,7 @@ class SymCanonicalForm:
         if self.kind != other.kind:
             return False
         return all(
-            abs(_scalar_to_complex(a) - _scalar_to_complex(b)) <= tol
+            abs(complex(a) - complex(b)) <= tol
             for a, b in zip(self.params, other.params)
         )
 

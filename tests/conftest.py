@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from postlie_sl2 import mateq, so3c
+from postlie_sl2.cli import VERIFY_K_SAMPLES as K_SAMPLES
 from postlie_sl2.linalg import GaussianRational, IM, Mat3
 
 
@@ -27,10 +29,6 @@ FIVE_TAGS = (
     mateq.FamilyTag.non_sym_rank1(),
 )
 
-#: KFamily parameters exercised by the exact verification criteria
-K_SAMPLES = (gr(0), gr(-1), gr(1), IM, gr(5))
-
-
 def sampled_tags():
     """The five families with the KFamily parameter swept over K_SAMPLES."""
     tags = [
@@ -41,6 +39,23 @@ def sampled_tags():
     ]
     tags.extend(mateq.FamilyTag.k_family(k) for k in K_SAMPLES)
     return tags
+
+
+def finite_difference_jacobian(A: Mat3, h: float = 1e-6) -> np.ndarray:
+    """Central differences of ``mateq.residual`` over the 18 real
+    coordinates: real parts of the row-major entries, then imaginary parts."""
+    a = A.to_numpy().ravel()
+
+    def f(z):
+        r = mateq.residual(Mat3.from_numpy(z.reshape(3, 3))).to_numpy().ravel()
+        return np.concatenate([r.real, r.imag])
+
+    fd = np.zeros((18, 18))
+    for i in range(18):
+        e = np.zeros(9, dtype=complex)
+        e[i % 9] = h if i < 9 else 1j * h
+        fd[:, i] = (f(a + e) - f(a - e)) / (2 * h)
+    return fd
 
 
 def exact_congruate(tag_or_matrix, seed):

@@ -22,7 +22,7 @@ from postlie_sl2.mateq import FamilyKind, FamilyTag, representative
 from postlie_sl2.sl2 import check_postlie, check_rota_baxter, circ_from_matrix
 from postlie_sl2.symcanon import FormKind, canonical_matrix, classify_symmetric, form
 
-from conftest import exact_congruate, sampled_tags
+from conftest import exact_congruate, finite_difference_jacobian, sampled_tags
 
 
 def report(n, text):
@@ -259,14 +259,7 @@ def test_criterion_10_gradient_check():
             rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         )
         J = solver.residual_jacobian(A)
-        x = solver._pack(A.to_numpy())
-        fd = np.zeros((18, 18))
-        for i in range(18):
-            e = np.zeros(18)
-            e[i] = h
-            fd[:, i] = (
-                solver._residual_flat(x + e) - solver._residual_flat(x - e)
-            ) / (2 * h)
+        fd = finite_difference_jacobian(A, h)
         rel = np.linalg.norm(J - fd) / np.linalg.norm(J)
         assert rel <= 1e-5, f"seed {seed}: relative error {rel:.2e}"
     report(10, "Jacobian matches finite differences at 50 points (rel <= 1e-5)")

@@ -174,6 +174,15 @@ class TestRank:
         assert A[0, 1] * A[1, 0] == gr(Fraction(5, 4))
         assert A.rank() == 1
 
+    def test_floor_scales_the_threshold(self):
+        M = Mat3.diag(1e-9 + 0j, 1e-9 + 0j, 1e-9 + 0j)
+        assert M.rank(1e-8) == M.rank(1e-8, 0.0) == 3
+        # noise of a derived matrix: the floor carries the scale of its source
+        assert M.rank(1e-8, 1.0) == 0
+        # a floor below sigma_max changes nothing
+        N = Mat3.diag(1.0 + 0j, 1e-9 + 0j, 0j)
+        assert N.rank(1e-8, 0.5) == N.rank(1e-8) == 1
+
     def test_exact_rank_requires_zero_tol(self):
         with pytest.raises(ValueError):
             Mat3.identity().rank(1e-8)

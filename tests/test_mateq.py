@@ -233,6 +233,18 @@ class TestClassify:
                 report = classify(congruate(A, T))
                 assert report.tag.close_to(tag, 1e-6), (name, seed, report.tag)
 
+    def test_floating_k_is_complex_on_every_branch(self):
+        # rank-2 branch: k = tr(A) + 1 of the floating representative at k = 10
+        report = classify(representative(FamilyTag.k_family(10.0)))
+        assert type(report.tag.k) is complex
+        assert complex(report.tag.k) == 10
+        # rank-1 branch: k = 0 of a floating congruate
+        A = representative(FamilyTag.k_family(0)).to_floating()
+        report = classify(congruate(A, so3c.random_so3(21).matrix))
+        assert report.tag.kind == FamilyKind.K_FAMILY
+        assert type(report.tag.k) is complex
+        assert report.tag.k == 0
+
     def test_kfamily_minus1_not_trace_minus_2(self):
         A = representative(FamilyTag.k_family(-1)).to_floating()
         T = so3c.random_so3(99).matrix

@@ -108,9 +108,9 @@ class TestAdjointRep:
 
     def test_trace_pairing_orthonormality(self):
         # -2 tr(e_i e_j) = delta_ij for the fixed 2x2 basis
-        from postlie_sl2.so3c import _basis_2x2
+        from postlie_sl2.sl2 import basis_2x2
 
-        basis = _basis_2x2(exact=True)
+        basis = basis_2x2(exact=True)
         for i, ei in enumerate(basis):
             for j, ej in enumerate(basis):
                 pairing = GaussianRational(-2) * (ei @ ej).trace()

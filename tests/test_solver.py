@@ -3,20 +3,41 @@ import pytest
 
 from postlie_sl2 import mateq, solver
 from postlie_sl2.linalg import Mat3
-from postlie_sl2.mateq import FamilyKind, FamilyTag, representative
+from postlie_sl2.mateq import FamilyKind, FamilyTag, representative, residual
+
+from conftest import finite_difference_jacobian
 
 
-def finite_difference_jacobian(A: Mat3, h: float = 1e-6) -> np.ndarray:
-    x = solver._pack(A.to_numpy())
-    fd = np.zeros((18, 18))
-    for i in range(18):
-        e = np.zeros(18)
-        e[i] = h
-        fd[:, i] = (solver._residual_flat(x + e) - solver._residual_flat(x - e)) / (2 * h)
-    return fd
+def entrywise_jacobian(A: np.ndarray) -> np.ndarray:
+    """Reference 9x9 complex Jacobian, one column per entry E_pq, from the
+    directional derivative of A'((tr A + 1) I - A) - A*."""
+    t = np.trace(A)
+    I = np.eye(3)
+    M = (t + 1) * I - A
+    J = np.zeros((9, 9), dtype=complex)
+    for p in range(3):
+        for q in range(3):
+            E = np.zeros((3, 3))
+            E[p, q] = 1.0
+            dtr = float(p == q)
+            d_main = E.T @ M + A.T @ (dtr * I - E)
+            # A* = A^2 - tr(A) A + c1 I with c1 = ((tr A)^2 - tr(A^2))/2
+            d_adj = E @ A + A @ E - dtr * A - t * E + (t * dtr - A[q, p]) * I
+            J[:, 3 * p + q] = (d_main - d_adj).ravel()
+    return J
 
 
 class TestResidualJacobian:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_entrywise_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        A *= 10.0 ** rng.uniform(-3, 3) / np.linalg.norm(A)
+        ref = entrywise_jacobian(A)
+        ref = np.block([[ref.real, -ref.imag], [ref.imag, ref.real]])
+        J = solver.residual_jacobian(Mat3.from_numpy(A))
+        assert np.linalg.norm(J - ref) <= 1e-14 * np.linalg.norm(ref)
+
     def test_at_zero(self):
         A = Mat3.zero(exact=False)
         J = solver.residual_jacobian(A)
@@ -38,6 +59,18 @@ class TestResidualJacobian:
         J = solver.residual_jacobian(A)
         fd = finite_difference_jacobian(A)
         assert np.linalg.norm(J - fd) <= 1e-5 * np.linalg.norm(fd)
+
+
+class TestArrayResidual:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_mateq_residual(self, seed):
+        # the solver's array residual is the matrix equation of mateq.residual
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        A *= 10.0 ** rng.uniform(-3, 3) / np.linalg.norm(A)
+        want = residual(Mat3.from_numpy(A)).to_numpy()
+        got = solver._residual(A)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestNewtonSolve:
