@@ -138,4 +138,7 @@ def survey_to_json(report):
         "family_histogram": dict(sorted(report.family_histogram.items())),
         "k_values": [[z.real, z.imag] for z in report.k_values],
         "failures": report.failures,
+        "iterations": report.iterations,
+        "regularised_steps": report.regularised_steps,
+        "stalls": report.stalls,
     }

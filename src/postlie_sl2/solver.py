@@ -1,15 +1,18 @@
 """Multistart damped Newton root-finding for the matrix equation.
 
-Newton runs on the 9 complex entries of one (3,3) array.  The residual
-map is polynomial, hence holomorphic, so each step solves a 9x9 complex
-system with the analytic Jacobian; the 18x18 real Jacobian over (real
-parts, imaginary parts) is a derived view of it.  Starts are independent
-and seeded individually from (master seed, start index); results do not
-depend on evaluation order.
+Newton runs on a stack of complex (3,3) arrays, one row per start.  The
+residual map is polynomial, hence holomorphic, so each step solves one 9x9
+complex system per row with the analytic Jacobian; the 18x18 real Jacobian
+over (real parts, imaginary parts) is a derived view of it.  Every
+operation of the kernel acts on each row alone, so a row's result does not
+depend on the other rows of its batch.  Starts are seeded individually from
+(master seed, start index); results do not depend on evaluation order or
+on how the starts are split into blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,9 @@ MIN_DAMPING = 2.0**-20
 #: extra Newton steps taken after the tolerance is reached, pushing roots to
 #: the attainable floor so downstream structural identities hold tightly
 POLISH_STEPS = 4
+#: starts per kernel call in a survey; keeps the survey's working memory
+#: independent of its number of starts
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,10 @@ class SolveResult:
     residual_norm: float
     iterations: int
     converged: bool
+    #: steps solved through the Tikhonov normal equations, polish included
+    regularised_steps: int
+    #: the line search ran out of damping before the tolerance was reached
+    stalled: bool
     classification: mateq.ClassificationReport | None = None
 
 
@@ -52,49 +62,173 @@ class SurveyReport:
     family_histogram: dict
     k_values: list
     failures: int
+    #: Newton iterations summed over all starts
+    iterations: int
+    #: Tikhonov steps summed over all starts
+    regularised_steps: int
+    #: starts whose line search ran out of damping before the tolerance
+    stalls: int
 
 
 _I3 = np.eye(3)
-#: column order that turns a row-major vec(E) into vec(E')
-_TRANSPOSED = np.arange(9).reshape(3, 3).T.ravel()
+_I9 = np.eye(9)
 
 
 def _residual(A: np.ndarray) -> np.ndarray:
-    """A'((tr A + 1) I - A) - A* on a complex (3,3) array, with the
-    Cayley-Hamilton adjugate A* = A^2 - tr(A) A + ((tr A)^2 - tr(A^2))/2 I."""
-    t = np.trace(A)
+    """A'((tr A + 1) I - A) - A* on a complex (3,3) array or a stack of them,
+    with the Cayley-Hamilton adjugate A* = A^2 - tr(A) A + ((tr A)^2 - tr(A^2))/2 I."""
+    t = np.trace(A, axis1=-2, axis2=-1)[..., None, None]
     A2 = A @ A
-    c1 = (t * t - np.trace(A2)) / 2
-    return A.T @ ((t + 1) * _I3 - A) - (A2 - t * A + c1 * _I3)
+    c1 = (t * t - np.trace(A2, axis1=-2, axis2=-1)[..., None, None]) / 2
+    return np.swapaxes(A, -1, -2) @ ((t + 1) * _I3 - A) - (A2 - t * A + c1 * _I3)
 
 
 def _jacobian(A: np.ndarray) -> np.ndarray:
-    """9x9 complex Jacobian of :func:`_residual` in row-major entry order.
+    """9x9 complex Jacobians of :func:`_residual` at the rows of a complex
+    (N,3,3) array, in row-major entry order: shape (N,9,9).
 
     The derivative in direction E is
     E'M + tr(E)(A' + A - tI) - A'E - EA - AE + tE + tr(AE) I
-    with t = tr A and M = (t + 1) I - A; row-major vec(XEY) = (X kron Y') vec(E).
+    with t = tr A and M = (t + 1) I - A.  With S = A' + A - tI, the entry
+    ((i,j), (p,q)) is d_iq M_pj + d_pq S_ij - d_jq S_ip - d_ip A_qj + d_ij A_qp,
+    each term one broadcast over the axes (row, i, j, p, q).
     """
-    t = np.trace(A)
-    At = A.T
+    t = np.trace(A, axis1=-2, axis2=-1)[:, None, None]
+    At = np.swapaxes(A, -1, -2)
     M = (t + 1) * _I3 - A
-    i, a, at = _I3.ravel(), A.ravel(), At.ravel()
-    return (
-        np.kron(_I3, M.T)[:, _TRANSPOSED]
-        - np.kron(At, _I3)
-        - np.kron(_I3, At)
-        - np.kron(A, _I3)
-        + t * np.eye(9)
-        + np.outer(at + a - t * i, i)
-        + np.outer(i, at)
+    S = At + A - t * _I3
+    d = _I3
+    J = (
+        np.swapaxes(M, -1, -2)[:, None, :, :, None] * d[:, None, None, :]
+        + S[:, :, :, None, None] * d
+        - S[:, :, None, :, None] * d[:, None, :]
+        - At[:, None, :, None, :] * d[:, None, :, None]
+        + At[:, None, None, :, :] * d[:, :, None, None]
     )
+    return J.reshape(-1, 9, 9)
 
 
 def residual_jacobian(A: Mat3) -> np.ndarray:
     """18x18 real Jacobian of the residual in (real parts, imaginary parts)
     coordinates: the realification of the holomorphic 9x9 Jacobian."""
-    J = _jacobian(A.to_numpy())
+    J = _jacobian(A.to_numpy()[None])[0]
     return np.block([[J.real, -J.imag], [J.imag, J.real]])
+
+
+def _newton_step(A: np.ndarray, F: np.ndarray, norm: np.ndarray):
+    """One damped Newton step on every row of a (N,3,3) stack.
+
+    Returns (A, F, norm, accepted, regularised); a row whose line search
+    runs out of damping comes back unchanged with accepted False.
+    """
+    n = len(A)
+    J = _jacobian(A)
+    f = F.reshape(n, 9, 1)
+    sv = np.linalg.svd(J, compute_uv=False)
+    regularised = (sv[:, 0] == 0.0) | (sv[:, -1] <= 1e-12 * sv[:, 0])
+    step = np.empty((n, 9, 1), dtype=complex)
+    plain = ~regularised
+    step[plain] = np.linalg.solve(J[plain], -f[plain])
+    Js = J[regularised]
+    JH = np.swapaxes(Js.conj(), -1, -2)
+    step[regularised] = np.linalg.solve(JH @ Js + TIKHONOV_SHIFT * _I9, -JH @ f[regularised])
+    step = step.reshape(n, 3, 3)
+
+    # halving line search per row: each row takes the first damping that
+    # lowers its own residual norm
+    A, F, norm = A.copy(), F.copy(), norm.copy()
+    pending = np.arange(n)
+    lam = 1.0
+    while lam >= MIN_DAMPING and pending.size:
+        A_try = A[pending] + lam * step[pending]
+        F_try = _residual(A_try)
+        n_try = np.linalg.norm(F_try, axis=(-2, -1))
+        better = n_try < norm[pending]
+        rows = pending[better]
+        A[rows], F[rows], norm[rows] = A_try[better], F_try[better], n_try[better]
+        pending = pending[~better]
+        lam *= 0.5
+    accepted = np.ones(n, dtype=bool)
+    accepted[pending] = False
+    return A, F, norm, accepted, regularised
+
+
+def _newton(A0: np.ndarray, max_iter: int, tol: float):
+    """Damped Newton from every row of a complex (N,3,3) array.
+
+    A row steps until its residual norm is below ``tol``, its line search
+    stalls or it has taken ``max_iter`` steps; a converged row then takes
+    up to POLISH_STEPS further steps while they lower its norm.  Returns
+    the arrays (A, norm, iterations, regularised steps, stalled).
+    """
+    A = np.array(A0, dtype=complex)
+    F = _residual(A)
+    norm = np.linalg.norm(F, axis=(-2, -1))
+    iterations = np.zeros(len(A), dtype=int)
+    regularised = np.zeros(len(A), dtype=int)
+    stalled = np.zeros(len(A), dtype=bool)
+    for _ in range(max_iter):
+        rows = np.flatnonzero(~(norm < tol) & ~stalled)
+        if rows.size == 0:
+            break
+        A[rows], F[rows], norm[rows], accepted, reg = _newton_step(
+            A[rows], F[rows], norm[rows]
+        )
+        iterations[rows] += 1
+        regularised[rows] += reg
+        stalled[rows[~accepted]] = True
+
+    # polish: the structural identities of a root are only as tight as the
+    # final residual, so drive it to the floor while steps keep paying
+    polishing = norm < tol
+    for _ in range(POLISH_STEPS):
+        rows = np.flatnonzero(polishing & (norm != 0.0))
+        if rows.size == 0:
+            break
+        A[rows], F[rows], norm[rows], accepted, reg = _newton_step(
+            A[rows], F[rows], norm[rows]
+        )
+        iterations[rows[accepted]] += 1
+        regularised[rows] += reg
+        polishing[rows[~accepted]] = False
+    return A, norm, iterations, regularised, stalled
+
+
+def _solve_rows(
+    A0: np.ndarray,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_NEWTON_TOL,
+    classify_tol: float = mateq.DEFAULT_CLASSIFY_TOL,
+) -> list[SolveResult]:
+    """One :class:`SolveResult` per row of a complex (N,3,3) array of starts;
+    each converged point is classified."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    A, norm, iterations, regularised, stalled = _newton(A0, max_iter, tol)
+    results = []
+    for row in range(len(A)):
+        A_final = Mat3.from_numpy(A[row])
+        converged = bool(norm[row] < tol)
+        classification = None
+        if converged:
+            try:
+                classification = mateq.classify(A_final, tol=classify_tol)
+            except (mateq.NotASolution, mateq.Inconclusive):
+                classification = None
+        results.append(
+            SolveResult(
+                A_final=A_final,
+                residual_norm=float(norm[row]),
+                iterations=int(iterations[row]),
+                converged=converged,
+                regularised_steps=int(regularised[row]),
+                stalled=bool(stalled[row]),
+                classification=classification,
+            )
+        )
+    return results
 
 
 def newton_solve(
@@ -103,85 +237,28 @@ def newton_solve(
     tol: float = DEFAULT_NEWTON_TOL,
     classify_tol: float = mateq.DEFAULT_CLASSIFY_TOL,
 ) -> SolveResult:
-    """Damped Newton iteration on the 9 complex entries.
+    """Damped Newton iteration on the 9 complex entries: the one-row call
+    of the batched kernel.
 
     Steps fall back to Tikhonov-regularized normal equations when the
     Jacobian is singular (the solution variety is positive-dimensional
     along the parametrized family, so this happens at legitimate roots).
     Non-convergence is reported in the result, never raised.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    A = A0.to_numpy()
-    iterations = 0
-    F = _residual(A)
-    norm = float(np.linalg.norm(F))
-    for _ in range(max_iter):
-        if norm < tol:
-            break
-        A, F, norm, accepted = _damped_step(A, F, norm)
-        iterations += 1
-        if not accepted:
-            break
-
-    converged = norm < tol
-    if converged:
-        # polish: the structural identities of a root are only as tight as
-        # the final residual, so drive it to the floor while steps keep paying
-        for _ in range(POLISH_STEPS):
-            if norm == 0.0:
-                break
-            A_new, F_new, n_new, accepted = _damped_step(A, F, norm)
-            if not accepted:
-                break
-            A, F, norm = A_new, F_new, n_new
-            iterations += 1
-    A_final = Mat3.from_numpy(A)
-    classification = None
-    if converged:
-        try:
-            classification = mateq.classify(A_final, tol=classify_tol)
-        except (mateq.NotASolution, mateq.Inconclusive):
-            classification = None
-    return SolveResult(
-        A_final=A_final,
-        residual_norm=norm,
-        iterations=iterations,
-        converged=converged,
-        classification=classification,
-    )
+    return _solve_rows(A0.to_numpy()[None], max_iter, tol, classify_tol)[0]
 
 
-def _damped_step(A: np.ndarray, F: np.ndarray, norm: float):
-    """One damped Newton step; returns (A, F, norm, accepted)."""
-    J = _jacobian(A)
-    f = F.ravel()
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        JH = J.conj().T
-        step = np.linalg.solve(JH @ J + TIKHONOV_SHIFT * np.eye(9), -JH @ f)
-    else:
-        step = np.linalg.solve(J, -f)
-    step = step.reshape(3, 3)
-    lam = 1.0
-    while lam >= MIN_DAMPING:
-        A_new = A + lam * step
-        F_new = _residual(A_new)
-        n_new = float(np.linalg.norm(F_new))
-        if n_new < norm:
-            return A_new, F_new, n_new, True
-        lam *= 0.5
-    return A, F, norm, False
-
-
-def _random_start(rng: np.random.Generator, radius: float) -> np.ndarray:
-    # uniform over the complex disk of the given radius, per entry
-    u = rng.random(size=(3, 3))
-    theta = rng.random(size=(3, 3)) * 2 * np.pi
-    r = radius * np.sqrt(u)
-    return r * np.exp(1j * theta)
+def _seeded_starts(seed: int, indices, radius: float) -> np.ndarray:
+    """Starts for the given indices, stacked; start ``index`` draws its
+    entries uniformly over the complex disk of the given radius from
+    ``default_rng([seed, index])``."""
+    starts = np.empty((len(indices), 3, 3), dtype=complex)
+    for row, index in enumerate(indices):
+        rng = np.random.default_rng([seed, index])
+        u = rng.random(size=(3, 3))
+        theta = rng.random(size=(3, 3)) * 2 * np.pi
+        starts[row] = radius * np.sqrt(u) * np.exp(1j * theta)
+    return starts
 
 
 def multistart(
@@ -194,37 +271,47 @@ def multistart(
 ) -> SurveyReport:
     """Run Newton from seeded random starts and tally the families found.
 
+    The starts are solved BLOCK_ROWS at a time by the batched kernel.
     Every converged point must classify into one of the five families;
     a converged point without a classification raises
     :class:`mateq.Inconclusive`, signalling a tolerance failure.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError("radius must be finite and non-negative")
     histogram: dict[str, int] = {}
     k_values: list[complex] = []
-    converged_count = 0
-    failures = 0
-    for index in range(n_starts):
-        rng = np.random.default_rng([seed, index])
-        A0 = Mat3.from_numpy(_random_start(rng, radius))
-        result = newton_solve(A0, max_iter=max_iter, tol=tol, classify_tol=classify_tol)
-        if not result.converged:
-            failures += 1
-            continue
-        if result.classification is None:
-            raise mateq.Inconclusive(
-                f"converged point at start {index} failed to classify"
-            )
-        converged_count += 1
-        tag = result.classification.tag
-        name = tag.kind.value
-        histogram[name] = histogram.get(name, 0) + 1
-        if tag.kind == mateq.FamilyKind.K_FAMILY:
-            k_values.append(complex(tag.k))
+    converged_count = failures = iterations = regularised = stalls = 0
+    for lo in range(0, n_starts, BLOCK_ROWS):
+        indices = range(lo, min(lo + BLOCK_ROWS, n_starts))
+        starts = _seeded_starts(seed, indices, radius)
+        for index, result in zip(
+            indices, _solve_rows(starts, max_iter, tol, classify_tol)
+        ):
+            iterations += result.iterations
+            regularised += result.regularised_steps
+            stalls += result.stalled
+            if not result.converged:
+                failures += 1
+                continue
+            if result.classification is None:
+                raise mateq.Inconclusive(
+                    f"converged point at start {index} failed to classify"
+                )
+            converged_count += 1
+            tag = result.classification.tag
+            name = tag.kind.value
+            histogram[name] = histogram.get(name, 0) + 1
+            if tag.kind == mateq.FamilyKind.K_FAMILY:
+                k_values.append(complex(tag.k))
     return SurveyReport(
         starts=n_starts,
         converged_count=converged_count,
         family_histogram=histogram,
         k_values=k_values,
         failures=failures,
+        iterations=iterations,
+        regularised_steps=regularised,
+        stalls=stalls,
     )

@@ -79,16 +79,9 @@ def survey_500():
 
 @pytest.fixture(scope="session")
 def converged_points():
-    """Final matrices of all converged runs underlying ``survey_500``."""
-    import numpy as np
-
+    """Converged runs on the starts of ``survey_500``, from one batched
+    Newton call."""
     from postlie_sl2 import solver
 
-    points = []
-    for index in range(500):
-        rng = np.random.default_rng([20260810, index])
-        A0 = Mat3.from_numpy(solver._random_start(rng, 2.0))
-        result = solver.newton_solve(A0)
-        if result.converged:
-            points.append(result)
-    return points
+    starts = solver._seeded_starts(20260810, range(500), 2.0)
+    return [result for result in solver._solve_rows(starts) if result.converged]

@@ -137,7 +137,7 @@ def test_criterion_5_rank3_rigidity(converged_points):
         A = result.A_final
         if result.residual_norm >= 1e-10:
             continue
-        if mateq._rank_of(A, 1e-6, 1.0) == 3:
+        if A.rank(1e-6, 1.0) == 3:
             checked += 1
             dev = (A - (-Mat3.identity(exact=False))).max_abs()
             assert dev <= 1e-8, f"rank-3 point deviates from -I by {dev:.2e}"
@@ -151,7 +151,7 @@ def test_criterion_6_reduction_identities(converged_points):
     n2 = n1 = 0
     for result in converged_points:
         A = result.A_final
-        r = mateq._rank_of(A, 1e-6, 1.0)
+        r = A.rank(1e-6, 1.0)
         if r == 2:
             n2 += 1
             assert mateq.rank2_identity_residual(A).frobenius_norm() < 1e-10

@@ -150,6 +150,17 @@ class TestSearch:
         assert payload["starts"] == 20
         assert payload["converged"] == sum(payload["family_histogram"].values())
         assert payload["converged"] + payload["failures"] == 20
+        assert payload["iterations"] >= payload["converged"]
+        assert payload["regularised_steps"] >= 0
+        assert payload["stalls"] <= payload["failures"]
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "nan"), ("--radius", "nan"), ("--radius", "-1")]
+    )
+    def test_bad_arguments_are_errors(self, capsys, flag, value):
+        code, doc = run(capsys, "search", "--seed", "1", "--starts", "3", flag, value)
+        assert code == 2
+        assert doc["status"] == "error"
 
     def test_deterministic(self, capsys):
         _, doc1 = run(capsys, "search", "--starts", "10", "--seed", "4")

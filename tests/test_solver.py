@@ -103,6 +103,54 @@ class TestNewtonSolve:
             solver.newton_solve(A, 0, 1e-12)
         with pytest.raises(ValueError):
             solver.newton_solve(A, 10, 0.0)
+        with pytest.raises(ValueError):
+            solver.newton_solve(A, 10, float("nan"))
+
+
+class TestBatchedKernel:
+    """Every operation of the kernel acts on each row alone."""
+
+    STARTS = solver._seeded_starts(7, range(40), solver.DEFAULT_RADIUS)
+
+    @staticmethod
+    def newton(starts):
+        return solver._newton(starts, solver.DEFAULT_MAX_ITER, solver.DEFAULT_NEWTON_TOL)
+
+    def test_rows_equal_newton_solve(self):
+        # the starts of multistart(40, seed=7)
+        rows = solver._solve_rows(self.STARTS)
+        for A0, row in zip(self.STARTS, rows):
+            single = solver.newton_solve(Mat3.from_numpy(A0))
+            assert row.A_final == single.A_final
+            assert row.iterations == single.iterations
+            assert row.residual_norm == single.residual_norm
+
+    def test_failing_rows_leave_the_others_unchanged(self):
+        # start 199 of seed 2 at radius 5 runs out of iterations; a start
+        # whose residual overflows stalls; the identity converges exactly
+        out_of_iterations = solver._seeded_starts(2, [199], 5.0)
+        overflowing = np.full((1, 3, 3), 1e100, dtype=complex)
+        identity = np.eye(3, dtype=complex)[None]
+        mixed = np.concatenate(
+            [out_of_iterations, self.STARTS[:20], overflowing, identity, self.STARTS[20:]]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = self.newton(mixed)
+        want = self.newton(self.STARTS)
+        kept = np.r_[1:21, 23:43]
+        for g, w in zip(got, want):
+            assert np.array_equal(g[kept], w)
+        _, norm, iterations, _, stalled = got
+        assert not norm[0] < solver.DEFAULT_NEWTON_TOL
+        assert iterations[0] == solver.DEFAULT_MAX_ITER and not stalled[0]
+        assert stalled[21] and not norm[21] < solver.DEFAULT_NEWTON_TOL
+        assert norm[22] == 0.0
+
+    def test_prefix_gives_the_same_rows(self):
+        full = self.newton(self.STARTS)
+        prefix = self.newton(self.STARTS[:13])
+        for f, p in zip(full, prefix):
+            assert np.array_equal(f[:13], p)
 
 
 class TestMultistart:
@@ -123,6 +171,28 @@ class TestMultistart:
         b = solver.multistart(40, seed=7, radius=2.0)
         assert a == b
 
+    def test_counters_sum_the_single_solves(self):
+        report = solver.multistart(60, seed=99, radius=2.0)
+        singles = [
+            solver.newton_solve(Mat3.from_numpy(A0))
+            for A0 in solver._seeded_starts(99, range(60), 2.0)
+        ]
+        assert report.iterations == sum(r.iterations for r in singles)
+        assert report.regularised_steps == sum(r.regularised_steps for r in singles)
+        assert report.stalls == sum(r.stalled for r in singles)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             solver.multistart(0, seed=1)
+        nan, inf = float("nan"), float("inf")
+        for kwargs in (
+            {"max_iter": 0},
+            {"tol": 0.0},
+            {"tol": nan},
+            {"tol": inf},
+            {"radius": -1.0},
+            {"radius": nan},
+            {"radius": inf},
+        ):
+            with pytest.raises(ValueError):
+                solver.multistart(3, seed=1, **kwargs)
