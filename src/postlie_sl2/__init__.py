@@ -21,6 +21,7 @@ from .mateq import (
     classify,
     congruate,
     congruence_test,
+    invariant_prefilter,
     is_solution,
     representative,
     residual,

@@ -91,7 +91,7 @@ def verify_canon(corrupt: dict | None = None):
     separations = []
     for i in range(len(matrices)):
         for j in range(i + 1, len(matrices)):
-            verdict = mateq._invariant_prefilter(matrices[i][1], matrices[j][1], 1e-8)
+            verdict = mateq.invariant_prefilter(matrices[i][1], matrices[j][1], 1e-8)
             pairs_checked += 1
             if verdict is None:
                 pairwise_ok = False

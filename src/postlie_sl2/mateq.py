@@ -32,6 +32,7 @@ __all__ = [
     "rank2_identity_residual",
     "rank1_identity_residual",
     "classify",
+    "invariant_prefilter",
     "congruence_test",
 ]
 
@@ -268,7 +269,7 @@ def _char_poly_mismatch(pa, pb, tol: float, exact: bool) -> bool:
     return gap > PREFILTER_MARGIN * tol
 
 
-def _invariant_prefilter(A: Mat3, B: Mat3, tol: float) -> str | None:
+def invariant_prefilter(A: Mat3, B: Mat3, tol: float) -> str | None:
     """Compare congruence invariants; return the name of the first one that
     separates A from B, or None.
 
@@ -369,7 +370,7 @@ def congruence_test(
     verified witness gives ``congruent``, anything else ``unknown``.
     Witnesses satisfy T'T = I, det T = 1 and T' A T = B to ``tol``.
     """
-    sep = _invariant_prefilter(A, B, tol)
+    sep = invariant_prefilter(A, B, tol)
     if sep is not None:
         return CongruenceVerdict.not_congruent(sep)
 

@@ -13,17 +13,11 @@ which suffices by bilinearity, and report every violation they find.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .linalg import (
-    EXACT,
-    FLOATING,
-    GaussianRational,
-    Mat2,
-    Mat3,
-    Vec3,
-    _Q,
-)
+from .linalg import EXACT, FLOATING, GaussianRational, Mat2, Mat3, Vec3
 
 __all__ = [
     "StructureConstants",
@@ -99,20 +93,6 @@ class StructureConstants:
         """e_i o e_j for 0-based i, j."""
         return self.table[i][j]
 
-    def apply(self, x: Vec3, y: Vec3) -> Vec3:
-        """The bilinear extension x o y."""
-        out = Vec3.zero(exact=self.kind == EXACT)
-        for i in range(3):
-            xi = x.coords[i]
-            if not xi:
-                continue
-            for j in range(3):
-                yj = y.coords[j]
-                if not yj:
-                    continue
-                out = out + self.table[i][j].scale(xi * yj)
-        return out
-
     def to_floating(self) -> "StructureConstants":
         if self.kind == FLOATING:
             return self
@@ -155,8 +135,8 @@ def basis_2x2(exact: bool = True) -> tuple[Mat2, Mat2, Mat2]:
     pairing -2 tr(e_i e_j) is the Kronecker delta.
     """
     if exact:
-        h = GaussianRational(_Q(1, 2))
-        ih = GaussianRational(0, _Q(1, 2))
+        h = GaussianRational(Fraction(1, 2))
+        ih = GaussianRational(0, Fraction(1, 2))
         z = GaussianRational(0)
     else:
         h, ih, z = 0.5 + 0j, 0.5j, 0j
@@ -219,12 +199,144 @@ def matrix_from_circ(c: StructureConstants, tol: float = 1e-9) -> Mat3:
     return A
 
 
-def _record(violations, identity, indices, residual: Vec3, tol, exact):
+# The checkers evaluate each identity as a sum of contractions over
+# integer pairs.  Every scalar is N / D with N = (re, im) and one positive
+# common denominator D per call.  A product of two scalars then sits at
+# D**2, so a linear term is multiplied by D to bring the whole identity to
+# one power of D, and an exact zero test is an integer test.  Floating
+# scalars run the same loops as float pairs over D = 1.0.  A triple of
+# pairs is a coordinate vector; a triple of those, a 3x3 matrix acting on
+# row vectors.
+
+#: ``_BRACKET[i][j]`` holds the coordinates of [e_i, e_j]
+_BRACKET = tuple(
+    tuple(
+        tuple(((i - j) * (j - k) * (k - i) // 2, 0) for k in range(3))
+        for j in range(3)
+    )
+    for i in range(3)
+)
+_ONE = ((1, 0),)
+_ZERO = ((0, 0), (0, 0), (0, 0))
+
+
+def _integer_vectors(scalars, exact):
+    """Consecutive triples of scalars as vectors of (re, im) pairs over
+    one positive common denominator D; returns the vectors and D.
+
+    Exact scalars become plain ints over the lcm of their denominators;
+    floating scalars become float pairs over D = 1.0.
+    """
     if exact:
-        if not residual.is_zero():
-            violations.append(IdentityViolation(identity, indices, residual))
-    elif residual.max_abs() > tol:
+        D = math.lcm(*(q.denominator for z in scalars for q in (z.re, z.im)))
+        pairs = [
+            (z.re.numerator * (D // z.re.denominator),
+             z.im.numerator * (D // z.im.denominator))
+            for z in scalars
+        ]
+    else:
+        D = 1.0
+        pairs = [(z.real, z.imag) for z in scalars]
+    return tuple(tuple(pairs[n : n + 3]) for n in range(0, len(pairs), 3)), D
+
+
+def _times(v, s):
+    return tuple((s * p, s * q) for p, q in v)
+
+
+def _contract(*terms):
+    """The sum of the vectors ``v @ M`` over the terms ``(v, M)``, for
+    coefficient pairs ``v`` and matrix rows ``M``.
+
+    Each term is summed on its own before it joins the total, the order in
+    which term-by-term vector arithmetic rounds, so that a term and its
+    negative cancel exactly in floating mode too.  Zero coefficients are
+    skipped.
+    """
+    R0 = I0 = R1 = I1 = R2 = I2 = 0
+    for v, M in terms:
+        r0 = i0 = r1 = i1 = r2 = i2 = 0
+        for (p, q), ((u0, w0), (u1, w1), (u2, w2)) in zip(v, M):
+            if p or q:
+                r0 += p * u0 - q * w0
+                i0 += p * w0 + q * u0
+                r1 += p * u1 - q * w1
+                i1 += p * w1 + q * u1
+                r2 += p * u2 - q * w2
+                i2 += p * w2 + q * u2
+        R0 += r0
+        I0 += i0
+        R1 += r1
+        I1 += i1
+        R2 += r2
+        I2 += i2
+    return (R0, I0), (R1, I1), (R2, I2)
+
+
+def _column(C, j):
+    """Rows ``C[m][j]``: the matrix of x -> x o e_j for the table ``C``."""
+    return C[0][j], C[1][j], C[2][j]
+
+
+def _ad(w):
+    """Rows [e_m, w]: the matrix of x -> [x, w]."""
+    (w0, w1, w2), (n0, n1, n2), z = w, _times(w, -1), (0, 0)
+    return (z, n2, w1), (w2, z, n0), (n1, w0, z)
+
+
+def _violations(defects, D, exact, tol):
+    """The failed instances among ``(identity, indices, power, r)``, where
+    ``r / D**power`` is the defect vector.
+
+    An exact defect fails when it is nonzero, a floating one when an entry
+    exceeds ``tol`` in absolute value.
+    """
+    violations = []
+    for identity, indices, power, r in defects:
+        if exact:
+            if r == _ZERO:
+                continue
+            s = D**power
+            residual = Vec3(
+                [GaussianRational(Fraction(re, s), Fraction(im, s)) for re, im in r]
+            )
+        else:
+            residual = Vec3([complex(re, im) for re, im in r])
+            if not residual.max_abs() > tol:
+                continue
         violations.append(IdentityViolation(identity, indices, residual))
+    return violations
+
+
+def _table_form(c: StructureConstants):
+    """The table as ``C[i][j]``, the vector of e_i o e_j, with its D."""
+    exact = c.kind == EXACT
+    vecs, D = _integer_vectors([x for row in c.table for v in row for x in v], exact)
+    return (vecs[0:3], vecs[3:6], vecs[6:9]), D, exact
+
+
+def _postlie_defects(C, D):
+    # C[d] is the matrix of x -> e_d o x, _column(C, a) that of x -> x o e_a
+    for a in range(3):
+        right_a = _column(C, a)
+        for b in range(3):
+            for d in range(3):
+                # z o (y o x) - y o (z o x) + (y o z) o x - (z o y) o x + [y,z] o x
+                r = _contract(
+                    (C[b][a], C[d]),
+                    (_times(C[d][a], -1), C[b]),
+                    (C[b][d], right_a),
+                    (_times(C[d][b], -1), right_a),
+                    (_times(_BRACKET[b][d], D), right_a),
+                )
+                yield "postlie-3", (a + 1, b + 1, d + 1), 2, r
+                # z o [x,y] - [z o x, y] - [x, z o y]
+                r = _contract(
+                    (_BRACKET[a][b], C[d]),
+                    (_times(C[d][a], -1), _column(_BRACKET, b)),
+                    (C[d][b], _column(_BRACKET, a)),
+                )
+                yield "postlie-4", (a + 1, b + 1, d + 1), 1, r
 
 
 def check_postlie(c: StructureConstants, tol: float = 1e-9) -> list[IdentityViolation]:
@@ -235,33 +347,8 @@ def check_postlie(c: StructureConstants, tol: float = 1e-9) -> list[IdentityViol
     turns the fixed bracket into a PostLie algebra (to ``tol`` in floating
     mode).
     """
-    exact = c.kind == EXACT
-    es = _basis(c.kind)
-    br = LIE_BRACKET if exact else LIE_BRACKET.to_floating()
-    violations: list[IdentityViolation] = []
-    for a in range(3):
-        x = es[a]
-        for b in range(3):
-            y = es[b]
-            for d in range(3):
-                z = es[d]
-                # z o (y o x) - y o (z o x) + (y o z) o x - (z o y) o x + [y,z] o x
-                r = (
-                    c.apply(z, c.product(b, a))
-                    - c.apply(y, c.product(d, a))
-                    + c.apply(c.product(b, d), x)
-                    - c.apply(c.product(d, b), x)
-                    + c.apply(br.product(b, d), x)
-                )
-                _record(violations, "postlie-3", (a + 1, b + 1, d + 1), r, tol, exact)
-                # z o [x,y] - [z o x, y] - [x, z o y]
-                r = (
-                    c.apply(z, br.product(a, b))
-                    - bracket(c.product(d, a), y)
-                    - bracket(x, c.product(d, b))
-                )
-                _record(violations, "postlie-4", (a + 1, b + 1, d + 1), r, tol, exact)
-    return violations
+    C, D, exact = _table_form(c)
+    return _violations(_postlie_defects(C, D), D, exact, tol)
 
 
 def derived_bracket(c: StructureConstants) -> StructureConstants:
@@ -275,41 +362,51 @@ def derived_bracket(c: StructureConstants) -> StructureConstants:
     )
 
 
-def check_jacobi(b: StructureConstants, tol: float = 1e-9) -> list[IdentityViolation]:
-    """Antisymmetry on all basis pairs plus the Jacobi identity on all triples."""
-    exact = b.kind == EXACT
-    es = _basis(b.kind)
-    violations: list[IdentityViolation] = []
+def _jacobi_defects(B):
     for i in range(3):
         for j in range(3):
-            r = b.product(i, j) + b.product(j, i)
-            _record(violations, "antisymmetry", (i + 1, j + 1), r, tol, exact)
+            r = _contract((_ONE, (B[i][j],)), (_ONE, (B[j][i],)))
+            yield "antisymmetry", (i + 1, j + 1), 1, r
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                r = (
-                    b.apply(b.product(i, j), es[k])
-                    + b.apply(b.product(k, i), es[j])
-                    + b.apply(b.product(j, k), es[i])
+                # {{e_i,e_j},e_k} + {{e_k,e_i},e_j} + {{e_j,e_k},e_i}
+                r = _contract(
+                    (B[i][j], _column(B, k)),
+                    (B[k][i], _column(B, j)),
+                    (B[j][k], _column(B, i)),
                 )
-                _record(violations, "jacobi", (i + 1, j + 1, k + 1), r, tol, exact)
-    return violations
+                yield "jacobi", (i + 1, j + 1, k + 1), 2, r
+
+
+def check_jacobi(b: StructureConstants, tol: float = 1e-9) -> list[IdentityViolation]:
+    """Antisymmetry on all basis pairs plus the Jacobi identity on all triples."""
+    B, D, exact = _table_form(b)
+    return _violations(_jacobi_defects(B), D, exact, tol)
+
+
+def _rota_baxter_defects(F, D):
+    # F[i] is f(e_i), row i of A
+    for i in range(3):
+        for j in range(3):
+            ad_fj = _ad(F[j])
+            # [f(e_i), e_j] + [e_i, f(e_j)] + [e_i, e_j], at D
+            inner = _contract(
+                (F[i], _column(_BRACKET, j)),
+                (_ONE, (ad_fj[i],)),
+                (((D, 0),), (_BRACKET[i][j],)),
+            )
+            # [f(e_i), f(e_j)] - f(inner), at D**2
+            r = _contract((F[i], ad_fj), (_times(inner, -1), F))
+            yield "rota-baxter", (i + 1, j + 1), 2, r
 
 
 def check_rota_baxter(A: Mat3, tol: float = 1e-9) -> list[IdentityViolation]:
     """Check on all basis pairs that f given by the rows of A satisfies
     [f(x),f(y)] = f([f(x),y] + [x,f(y)] + [x,y])."""
     exact = A.kind == EXACT
-    es = _basis(A.kind)
-    f = [A.row(i) for i in range(3)]
-    violations: list[IdentityViolation] = []
-    for i in range(3):
-        for j in range(3):
-            lhs = bracket(f[i], f[j])
-            inner = bracket(f[i], es[j]) + bracket(es[i], f[j]) + bracket(es[i], es[j])
-            rhs = inner @ A
-            _record(violations, "rota-baxter", (i + 1, j + 1), lhs - rhs, tol, exact)
-    return violations
+    F, D = _integer_vectors([x for row in A.rows for x in row], exact)
+    return _violations(_rota_baxter_defects(F, D), D, exact, tol)
 
 
 def _validate_fixed_bracket() -> bool:

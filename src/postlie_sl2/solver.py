@@ -153,6 +153,9 @@ def _newton_step(A: np.ndarray, F: np.ndarray, norm: np.ndarray):
     return A, F, norm, accepted, regularised
 
 
+# a start far out overflows its residual norm to inf; the row then fails
+# to converge and is counted, so the overflow is no error
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(A0: np.ndarray, max_iter: int, tol: float):
     """Damped Newton from every row of a complex (N,3,3) array.
 

@@ -1,11 +1,14 @@
 import json
+import warnings
+from fractions import Fraction
 
 import pytest
 
 from postlie_sl2 import mateq, serialize
 from postlie_sl2.cli import main, verify_canon
-from postlie_sl2.linalg import Mat3
+from postlie_sl2.linalg import GaussianRational, Mat3, Vec3
 from postlie_sl2.mateq import FamilyTag, representative
+from postlie_sl2.sl2 import StructureConstants, circ_from_matrix
 
 
 def run(capsys, *argv):
@@ -114,6 +117,97 @@ class TestPostlieCheck:
         assert set(first) == {"identity", "indices", "residual"}
 
 
+def _golden_table():
+    """e1 o e1 = (1/2 + i/3) e2 and e3 o e2 = -3/4 e1, every other product
+    zero: not an adjoint-form product, so both axioms fail."""
+    table = [[Vec3.zero() for _ in range(3)] for _ in range(3)]
+    table[0][0] = Vec3([0, GaussianRational(Fraction(1, 2), Fraction(1, 3)), 0])
+    table[2][1] = Vec3([Fraction(-3, 4), 0, 0])
+    return StructureConstants(table)
+
+
+# postlie-check payloads, captured once; the checkers must reproduce them
+# byte for byte (the floating one up to the sign of zero)
+GOLDEN_EXACT_IDENTITY = json.loads("""[
+    {"identity": "postlie-3", "indices": [1, 1, 2], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "2/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [1, 1, 3], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}, {"re": "2/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [1, 2, 1], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "-2/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [1, 3, 1], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}, {"re": "-2/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [2, 1, 2], "residual": [{"re": "-2/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [2, 2, 1], "residual": [{"re": "2/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [2, 2, 3], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}, {"re": "2/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [2, 3, 2], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}, {"re": "-2/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [3, 1, 3], "residual": [{"re": "-2/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [3, 2, 3], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "-2/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [3, 3, 1], "residual": [{"re": "2/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [3, 3, 2], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "2/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]}
+]""")
+GOLDEN_EXACT_TABLE = json.loads("""[
+    {"identity": "postlie-3", "indices": [1, 1, 3], "residual": [{"re": "-3/8", "im": "-1/4"}, {"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [1, 2, 3], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "7/8", "im": "7/12"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [1, 3, 1], "residual": [{"re": "3/8", "im": "1/4"}, {"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-4", "indices": [1, 3, 1], "residual": [{"re": "-1/2", "im": "-1/3"}, {"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [1, 3, 2], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "-7/8", "im": "-7/12"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-4", "indices": [1, 3, 3], "residual": [{"re": "3/4", "im": "0/1"}, {"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [2, 1, 2], "residual": [{"re": "-3/4", "im": "0/1"}, {"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [2, 1, 3], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "3/8", "im": "1/4"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [2, 2, 1], "residual": [{"re": "3/4", "im": "0/1"}, {"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-3", "indices": [2, 3, 1], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "-3/8", "im": "-1/4"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-4", "indices": [2, 3, 1], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "1/2", "im": "1/3"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-4", "indices": [2, 3, 3], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "-3/4", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-4", "indices": [3, 1, 1], "residual": [{"re": "1/2", "im": "1/3"}, {"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-4", "indices": [3, 1, 3], "residual": [{"re": "-3/4", "im": "0/1"}, {"re": "0/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-4", "indices": [3, 2, 1], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "-1/2", "im": "-1/3"}, {"re": "0/1", "im": "0/1"}]},
+    {"identity": "postlie-4", "indices": [3, 2, 3], "residual": [{"re": "0/1", "im": "0/1"}, {"re": "3/4", "im": "0/1"}, {"re": "0/1", "im": "0/1"}]}
+]""")
+GOLDEN_FLOATING_DIAGONAL = json.loads("""[
+    {"identity": "postlie-3", "indices": [1, 1, 2], "residual": [[0.0, 0.0], [-1.5, -0.375], [0.0, 0.0]]},
+    {"identity": "postlie-3", "indices": [1, 1, 3], "residual": [[0.0, 0.0], [0.0, 0.0], [0.5, 0.125]]},
+    {"identity": "postlie-3", "indices": [1, 2, 1], "residual": [[0.0, 0.0], [1.5, 0.375], [0.0, 0.0]]},
+    {"identity": "postlie-3", "indices": [1, 3, 1], "residual": [[0.0, 0.0], [0.0, 0.0], [-0.5, -0.125]]},
+    {"identity": "postlie-3", "indices": [2, 1, 2], "residual": [[1.5, 0.375], [0.0, 0.0], [0.0, 0.0]]},
+    {"identity": "postlie-3", "indices": [2, 2, 1], "residual": [[-1.5, -0.375], [0.0, 0.0], [0.0, 0.0]]},
+    {"identity": "postlie-3", "indices": [2, 2, 3], "residual": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.375]]},
+    {"identity": "postlie-3", "indices": [2, 3, 2], "residual": [[0.0, 0.0], [0.0, 0.0], [0.0, -0.375]]},
+    {"identity": "postlie-3", "indices": [3, 1, 3], "residual": [[-0.5, -0.125], [0.0, 0.0], [0.0, 0.0]]},
+    {"identity": "postlie-3", "indices": [3, 2, 3], "residual": [[0.0, 0.0], [0.0, -0.375], [0.0, 0.0]]},
+    {"identity": "postlie-3", "indices": [3, 3, 1], "residual": [[0.5, 0.125], [0.0, 0.0], [0.0, 0.0]]},
+    {"identity": "postlie-3", "indices": [3, 3, 2], "residual": [[0.0, 0.0], [0.0, 0.375], [0.0, 0.0]]}
+]""")
+
+
+class TestPostlieCheckGolden:
+    """The serialized violation lists, residual strings and order included,
+    are pinned for one floating and two exact products."""
+
+    def _check(self, capsys, tmp_path, c):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(serialize.structure_constants_to_json(c)))
+        assert main(["postlie-check", str(path)]) == 1
+        return capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize(
+        "make, golden",
+        [
+            (lambda: circ_from_matrix(Mat3.identity()), GOLDEN_EXACT_IDENTITY),
+            (_golden_table, GOLDEN_EXACT_TABLE),
+        ],
+    )
+    def test_exact(self, capsys, tmp_path, make, golden):
+        out = self._check(capsys, tmp_path, make())
+        expected = {
+            "command": "postlie-check",
+            "status": "violation",
+            "payload": {"violations": golden},
+        }
+        assert out == json.dumps(expected)
+
+    def test_floating(self, capsys, tmp_path):
+        A = Mat3([[0.5, 0j, 0j], [0j, 0.25j, 0j], [0j, 0j, -1.0]])
+        doc = json.loads(self._check(capsys, tmp_path, circ_from_matrix(A)))
+        assert doc["payload"]["violations"] == GOLDEN_FLOATING_DIAGONAL
+
+
 class TestOrbitTest:
     def test_not_congruent_pair(self, capsys, tmp_path):
         a = write_matrix(tmp_path, "a.json", representative(FamilyTag.trace_minus_2()))
@@ -161,6 +255,18 @@ class TestSearch:
         code, doc = run(capsys, "search", "--seed", "1", "--starts", "3", flag, value)
         assert code == 2
         assert doc["status"] == "error"
+
+    def test_overflowing_starts_fail_quietly(self, capsys):
+        # the residual norm of a start this far out overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["search", "--seed", "1", "--starts", "3", "--radius", "1e100"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == 0
+        payload = json.loads(captured.out)["payload"]
+        assert payload["failures"] == 3
+        assert payload["converged"] == 0
 
     def test_deterministic(self, capsys):
         _, doc1 = run(capsys, "search", "--starts", "10", "--seed", "4")

@@ -21,7 +21,14 @@ from postlie_sl2.sl2 import (
     matrix_from_circ,
 )
 
-from conftest import exact_congruate, gr, sampled_tags
+from conftest import (
+    exact_congruate,
+    gr,
+    reference_check_jacobi,
+    reference_check_postlie,
+    reference_check_rota_baxter,
+    sampled_tags,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=6
@@ -33,6 +40,22 @@ exact_mats = st.lists(gaussians, min_size=9, max_size=9).map(
 
 E = [Vec3.basis(i) for i in range(3)]
 
+# Gaussian scalars with mixed denominators up to 97, zero half the time so
+# that sparse tables and matrices occur
+wide_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=97)
+sparse_gaussians = st.one_of(
+    st.just(GaussianRational(0)),
+    st.builds(GaussianRational, wide_rationals, wide_rationals),
+)
+exact_tables = st.lists(sparse_gaussians, min_size=27, max_size=27).map(
+    lambda e: StructureConstants(
+        [[Vec3(e[9 * i + 3 * j : 9 * i + 3 * j + 3]) for j in range(3)]
+         for i in range(3)]
+    )
+)
+sparse_mats = st.lists(sparse_gaussians, min_size=9, max_size=9).map(
+    lambda e: Mat3([e[0:3], e[3:6], e[6:9]])
+)
 
 class TestBracket:
     def test_table(self):
@@ -204,3 +227,102 @@ class TestEquivalenceTheorem:
                     lhs = d.product(i, j) @ A
                     rhs = bracket(A.row(i), A.row(j))
                     assert lhs == rhs
+
+
+def _assert_floating_match(got, want):
+    """Same identities and indices; residuals within 1e-12 relative."""
+    assert [(v.identity, v.indices) for v in got] == [
+        (v.identity, v.indices) for v in want
+    ]
+    for g, w in zip(got, want):
+        assert (g.residual - w.residual).max_abs() <= 1e-12 * w.residual.max_abs()
+
+
+def _floating_table(rng, scale):
+    z = scale * (rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3)))
+    return StructureConstants(
+        [[Vec3(z[i, j].tolist()) for j in range(3)] for i in range(3)]
+    )
+
+
+def _floating_matrix(rng, scale):
+    return Mat3.from_numpy(
+        scale * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    )
+
+
+class TestReferenceOracle:
+    """The contractions return the violation lists of the term-by-term
+    reference in ``conftest``: equal element for element on exact input,
+    within rounding on floating input."""
+
+    @given(exact_tables)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_tables(self, c):
+        assert check_postlie(c) == reference_check_postlie(c)
+        assert check_jacobi(c) == reference_check_jacobi(c)
+
+    @given(sparse_mats)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_adjoint_form(self, A):
+        c = circ_from_matrix(A)
+        assert check_postlie(c) == reference_check_postlie(c)
+        assert check_rota_baxter(A) == reference_check_rota_baxter(A)
+        d = derived_bracket(c)
+        assert check_jacobi(d) == reference_check_jacobi(d)
+
+    def test_exact_congruates_and_non_solutions(self):
+        nudge = Mat3.diag(0, gr(Fraction(1, 97), Fraction(-2, 89)), 0)
+        violating = 0
+        for n, tag in enumerate(sampled_tags()):
+            A = exact_congruate(tag, 40 + n)
+            for M in (A, A + nudge):
+                c = circ_from_matrix(M)
+                postlie = check_postlie(c)
+                assert postlie == reference_check_postlie(c)
+                assert check_rota_baxter(M) == reference_check_rota_baxter(M)
+                violating += bool(postlie)
+        assert violating == len(sampled_tags())
+
+    def test_floating_tables_and_matrices(self):
+        rng = np.random.default_rng(31)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(5):
+                c = _floating_table(rng, scale)
+                _assert_floating_match(check_postlie(c), reference_check_postlie(c))
+                _assert_floating_match(check_jacobi(c), reference_check_jacobi(c))
+                A = _floating_matrix(rng, scale)
+                _assert_floating_match(
+                    check_rota_baxter(A), reference_check_rota_baxter(A)
+                )
+                c = circ_from_matrix(A)
+                _assert_floating_match(check_postlie(c), reference_check_postlie(c))
+
+    def test_floating_solutions_pass(self):
+        for tag in sampled_tags():
+            A = exact_congruate(tag, 7).to_floating()
+            c = circ_from_matrix(A)
+            assert check_postlie(c) == reference_check_postlie(c) == []
+            assert check_rota_baxter(A) == reference_check_rota_baxter(A) == []
+
+    def test_floating_threshold(self):
+        # a solution moved off the solution set by 3e-9: a tol just below
+        # a defect's largest entry keeps that violation and one just above
+        # drops it, in both implementations alike
+        A = exact_congruate(mateq.FamilyTag.trace_minus_2(), 5).to_floating()
+        A = A + Mat3.diag(3e-9 + 0j, 0j, 0j)
+        c = circ_from_matrix(A)
+        cases = [
+            (check_postlie, reference_check_postlie, c),
+            (check_rota_baxter, reference_check_rota_baxter, A),
+        ]
+        for check, reference, arg in cases:
+            defects = sorted(
+                {v.residual.max_abs() for v in reference(arg, tol=1e-12)}
+            )
+            assert defects
+            for m in (defects[0], defects[len(defects) // 2]):
+                below, above = m * (1 - 1e-9), m * (1 + 1e-9)
+                for tol in (below, above):
+                    _assert_floating_match(check(arg, tol=tol), reference(arg, tol=tol))
+                assert len(reference(arg, tol=below)) > len(reference(arg, tol=above))
