@@ -11,7 +11,6 @@ from .linalg import (
     Vec3,
     eigenvalues,
     jordan_signature,
-    rank1_factorization,
 )
 from .mateq import (
     ClassificationReport,

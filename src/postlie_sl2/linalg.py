@@ -24,11 +24,6 @@ from fractions import Fraction
 
 import numpy as np
 
-try:  # gmpy2's mpq is a drop-in Fraction replacement, roughly 10x faster
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    _Q = Fraction
-
 __all__ = [
     "GaussianRational",
     "IM",
@@ -36,11 +31,9 @@ __all__ = [
     "Mat3",
     "Mat2",
     "JordanSignature",
-    "RankMismatch",
     "IllConditioned",
     "eigenvalues",
     "jordan_signature",
-    "rank1_factorization",
 ]
 
 EXACT = "exact"
@@ -58,19 +51,15 @@ JORDAN_AMBIGUITY_FACTOR = 10.0
 EIG_CLUSTER_FLOOR = 1e-4
 
 
-class RankMismatch(ValueError):
-    """The matrix does not have the rank required by the operation."""
-
-
 class IllConditioned(ArithmeticError):
     """Eigenvalue clustering is ambiguous at the working tolerance."""
 
 
-def _to_rational(value) -> _Q:
+def _to_rational(value) -> Fraction:
     """Coerce ``value`` to an exact rational, refusing floats outright."""
     if isinstance(value, (float, complex)):
         raise TypeError(f"exact scalars need rational components, got {value!r}")
-    return _Q(value)
+    return Fraction(value)
 
 
 class GaussianRational:
@@ -399,7 +388,7 @@ class _SquareMatrix:
 
     def frobenius_norm(self) -> float:
         if self.kind == EXACT:
-            s = sum((x.abs_squared() for r in self.rows for x in r), _Q(0))
+            s = sum((x.abs_squared() for r in self.rows for x in r), Fraction(0))
             return math.sqrt(float(s))
         return math.sqrt(sum(abs(x) ** 2 for r in self.rows for x in r))
 
@@ -515,11 +504,11 @@ class Mat3(_SquareMatrix):
         return (-self.trace(), self.adjugate().trace(), -self.det())
 
     def sym_part(self) -> "Mat3":
-        half = GaussianRational(_Q(1, 2)) if self.kind == EXACT else 0.5
+        half = GaussianRational(Fraction(1, 2)) if self.kind == EXACT else 0.5
         return (self + self.transpose()).scale(half)
 
     def antisym_part(self) -> "Mat3":
-        half = GaussianRational(_Q(1, 2)) if self.kind == EXACT else 0.5
+        half = GaussianRational(Fraction(1, 2)) if self.kind == EXACT else 0.5
         return (self - self.transpose()).scale(half)
 
     def rank(self, tol: float | None = None, floor: float = 0.0) -> int:
@@ -747,43 +736,3 @@ def _sizes_from_ranks(ranks, mult: int, lam) -> tuple:
             f"inconsistent block structure for eigenvalue {lam}: ranks {ranks}"
         )
     return tuple(sizes)
-
-
-# ---------------------------------------------------------------------------
-# rank-1 factorization
-
-
-def rank1_factorization(A: Mat3, tol: float | None = None) -> tuple[Vec3, Vec3]:
-    """Split a rank-1 matrix into ``A[i][j] = alpha[i] * beta[j]``.
-
-    The first nonzero entry of ``alpha`` is normalized to 1.  Raises
-    :class:`RankMismatch` when the rank is not 1 (or, for floating input,
-    when the outer product fails to reproduce ``A`` to 1e-12 Frobenius).
-    """
-    r = A.rank(tol)
-    if r != 1:
-        raise RankMismatch(f"rank1_factorization needs rank 1, got {r}")
-    if A.kind == EXACT:
-        i0 = next(i for i in range(3) if any(A.rows[i]))
-        j0 = next(j for j in range(3) if A.rows[i0][j])
-        beta = Vec3(A.rows[i0])
-        pivot = A.rows[i0][j0]
-        alpha = Vec3([A.rows[i][j0] / pivot for i in range(3)])
-        return alpha, beta
-
-    arr = A.to_numpy()
-    i0 = int(np.argmax([np.linalg.norm(arr[i]) for i in range(3)]))
-    j0 = int(np.argmax(np.abs(arr[i0])))
-    beta_np = arr[i0]
-    alpha_np = arr[:, j0] / arr[i0, j0]
-    # normalize the first non-negligible entry of alpha to exactly 1
-    cutoff = 1e-12 * max(np.abs(alpha_np).max(), 1.0)
-    i1 = int(np.argmax(np.abs(alpha_np) > cutoff))
-    scale = alpha_np[i1]
-    alpha_np = alpha_np / scale
-    beta_np = beta_np * scale
-    if np.linalg.norm(np.outer(alpha_np, beta_np) - arr) > 1e-12 * max(
-        1.0, float(np.linalg.norm(arr))
-    ):
-        raise RankMismatch("matrix is not rank 1 to 1e-12")
-    return Vec3([complex(x) for x in alpha_np]), Vec3([complex(x) for x in beta_np])

@@ -2,7 +2,8 @@
 
 Provides the residual of the equation, the five canonical solution
 families, the SO(3,C) congruence action, a congruence decision procedure
-(invariant prefilter plus randomized witness search), and the classifier
+(invariant prefilter, then a witness built as the orthogonal polar factor
+of a simultaneous similarity of (A, A') and (B, B')), and the classifier
 that maps an arbitrary solution to its family.
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import so3c
-from .linalg import EXACT, GaussianRational, Mat3, _Q
+from .linalg import EXACT, GaussianRational, Mat3
 
 __all__ = [
     "FamilyKind",
@@ -85,7 +86,7 @@ class FamilyTag:
 
     @classmethod
     def k_family(cls, k):
-        if isinstance(k, (int, Fraction)) or type(k) is type(_Q(0)):
+        if isinstance(k, (int, Fraction)):
             k = GaussianRational(k)
         return cls(FamilyKind.K_FAMILY, k)
 
@@ -174,8 +175,8 @@ def rank1_identity_residual(A: Mat3) -> Mat3:
 
 
 def _gr(re, im=0) -> GaussianRational:
-    return GaussianRational(_Q(*re) if isinstance(re, tuple) else re,
-                            _Q(*im) if isinstance(im, tuple) else im)
+    return GaussianRational(Fraction(*re) if isinstance(re, tuple) else re,
+                            Fraction(*im) if isinstance(im, tuple) else im)
 
 
 def representative(tag: FamilyTag) -> Mat3:
@@ -257,7 +258,7 @@ def _rank_of(M: Mat3, tol: float, floor: float) -> int:
 
 
 def _shifted_sym_rank(A: Mat3, tol: float) -> int:
-    half = GaussianRational(_Q(1, 2)) if A.kind == EXACT else 0.5
+    half = GaussianRational(Fraction(1, 2)) if A.kind == EXACT else 0.5
     shifted = A.sym_part() + Mat3.identity_like(A).scale(half)
     return _rank_of(shifted, tol, _spectral_scale(A))
 
@@ -303,53 +304,39 @@ def invariant_prefilter(A: Mat3, B: Mat3, tol: float) -> str | None:
 
 
 def _nullspace_sylvester(Af: np.ndarray, Bf: np.ndarray) -> list[np.ndarray]:
-    """Basis of {S : A S = S B} under row-major vectorization."""
-    M = np.kron(Af, np.eye(3)) - np.kron(np.eye(3), Bf.T)
+    """Basis of {S : A S = S B, A' S = S B'} under row-major vectorization.
+
+    Every witness lies here: transposing T'AT = B for an orthogonal T gives
+    A'T = TB'.  The space is closed under S -> S^-T, and S'S commutes with
+    B for each S in it.
+    """
+    I = np.eye(3)
+    M = np.vstack(
+        [np.kron(Af, I) - np.kron(I, Bf.T), np.kron(Af.T, I) - np.kron(I, Bf)]
+    )
     _, sv, vh = np.linalg.svd(M)
-    cutoff = 1e-10 * max(1.0, float(sv[0]) if sv.size else 1.0)
-    basis = []
-    for idx in range(9):
-        if idx >= sv.size or sv[idx] <= cutoff:
-            basis.append(vh[idx].conj().reshape(3, 3))
-    return basis
+    cutoff = 1e-10 * max(1.0, float(sv[0]))
+    return [vh[idx].conj().reshape(3, 3) for idx in range(9) if sv[idx] <= cutoff]
 
 
-def _upper_triangle(M: np.ndarray) -> np.ndarray:
-    return np.array([M[0, 0], M[0, 1], M[0, 2], M[1, 1], M[1, 2], M[2, 2]])
+def _orthogonal_polar_factor(S: np.ndarray, max_iter: int = 60):
+    """Newton's polar iteration X <- (X + X^-T)/2 from X = S.
 
-
-def _orthogonality_newton(basis, coeffs, max_iter=60):
-    """Gauss-Newton for S'S = I within span(basis); the map is holomorphic
-    in the coefficients, so complex least-squares steps are exact Newton."""
-    stack = np.stack(basis)
-    c = coeffs
-
-    def assemble(cv):
-        return np.tensordot(cv, stack, axes=1)
-
-    S = assemble(c)
-    g = _upper_triangle(S.T @ S - np.eye(3))
+    It converges quadratically to Q = S (S'S)^(-1/2) when S'S has no
+    eigenvalue on (-inf, 0]; then Q'Q = I, and Q'AQ = B for S in the
+    nullspace above, since (S'S)^(-1/2) commutes with B.  Returns the last
+    iterate and the largest modulus of an entry of X'X - I.
+    """
+    X, defect = S, float(np.abs(S.T @ S - np.eye(3)).max())
     for _ in range(max_iter):
-        if np.abs(g).max() < 1e-12:
+        if not defect >= 1e-12:  # converged, or no longer finite
             break
-        J = np.stack(
-            [_upper_triangle(N.T @ S + S.T @ N) for N in basis], axis=1
-        )
-        step, *_ = np.linalg.lstsq(J, -g, rcond=None)
-        lam, improved = 1.0, False
-        gnorm = np.linalg.norm(g)
-        for _ in range(25):
-            c_new = c + lam * step
-            S_new = assemble(c_new)
-            g_new = _upper_triangle(S_new.T @ S_new - np.eye(3))
-            if np.linalg.norm(g_new) < gnorm:
-                c, S, g = c_new, S_new, g_new
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
+        try:
+            X = (X + np.linalg.inv(X).T) / 2
+        except np.linalg.LinAlgError:  # singular iterate
             break
-    return S, float(np.abs(g).max())
+        defect = float(np.abs(X.T @ X - np.eye(3)).max())
+    return X, defect
 
 
 def congruence_test(
@@ -364,11 +351,14 @@ def congruence_test(
     Stage 1 compares congruence invariants (ranks of A, A'A and
     sym(A) + I/2, characteristic polynomials of A, A'A and sym(A)) and
     returns ``not_congruent`` on a mismatch beyond ten times ``tol``
-    (exact mismatches in exact mode).  Stage 2 parametrizes the
-    nullspace of S -> A S - S B and runs
-    damped Gauss-Newton on S'S = I from ``budget`` seeded random starts; a
-    verified witness gives ``congruent``, anything else ``unknown``.
-    Witnesses satisfy T'T = I, det T = 1 and T' A T = B to ``tol``.
+    (exact mismatches in exact mode).  Stage 2 builds the witness: A and
+    B are orthogonally similar exactly when (A, A') and (B, B') are
+    simultaneously similar, and the orthogonal polar factor of such a
+    similarity S is a witness.  Up to ``budget`` seeded random S from the
+    nullspace of S -> (A S - S B, A' S - S B') go through Newton's polar
+    iteration; a verified witness gives ``congruent``, anything else
+    ``unknown``.  Witnesses satisfy T'T = I, det T = 1 and T' A T = B to
+    ``tol``.
     """
     sep = invariant_prefilter(A, B, tol)
     if sep is not None:
@@ -382,16 +372,16 @@ def congruence_test(
     if not basis:
         return CongruenceVerdict.unknown(0)
 
+    stack = np.stack(basis)
     for start in range(budget):
         rng = np.random.default_rng([seed, start])
         c0 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        S0 = np.tensordot(c0, np.stack(basis), axes=1)
+        S0 = np.tensordot(c0, stack, axes=1)
         scale = np.linalg.norm(S0)
         if scale < 1e-12:
             continue
-        c0 *= math.sqrt(3.0) / scale
-        S, defect = _orthogonality_newton(basis, c0)
-        if defect > 1e-10:
+        S, defect = _orthogonal_polar_factor(S0 * (math.sqrt(3.0) / scale))
+        if not defect <= 1e-10:
             continue
         det = np.linalg.det(S)
         if abs(det + 1) <= tol:

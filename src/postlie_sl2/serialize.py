@@ -9,7 +9,7 @@ processing downstream.
 
 from __future__ import annotations
 
-from .linalg import GaussianRational, Mat2, Mat3, Vec3, _Q
+from .linalg import GaussianRational, Mat2, Mat3, Vec3
 from .sl2 import IdentityViolation, StructureConstants
 
 __all__ = [
@@ -40,7 +40,7 @@ def scalar_to_json(x):
 def scalar_from_json(obj):
     if isinstance(obj, dict):
         try:
-            return GaussianRational(_Q(str(obj["re"])), _Q(str(obj["im"])))
+            return GaussianRational(str(obj["re"]), str(obj["im"]))
         except (KeyError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad exact scalar {obj!r}") from exc
     if isinstance(obj, (list, tuple)) and len(obj) == 2:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .linalg import EXACT, GaussianRational, Mat2, Mat3, _Q
+from .linalg import EXACT, GaussianRational, Mat2, Mat3
 from .sl2 import basis_2x2, coords_from_2x2
 
 __all__ = [
@@ -99,7 +100,7 @@ def random_so3(seed: int) -> OrthogonalMatrix:
 
 def _random_gaussian_rational(rng: random.Random) -> GaussianRational:
     def q():
-        return _Q(rng.randint(-3, 3), rng.randint(1, 4))
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
 
     return GaussianRational(q(), q())
 

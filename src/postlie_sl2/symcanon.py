@@ -18,7 +18,6 @@ from .linalg import (
     GaussianRational,
     IllConditioned,
     Mat3,
-    _Q,
     jordan_signature,
 )
 
@@ -117,7 +116,7 @@ class SymCanonicalForm:
 
 
 def _coerce_param(v):
-    if isinstance(v, (int, Fraction)) or type(v) is type(_Q(0)):
+    if isinstance(v, (int, Fraction)):
         return GaussianRational(v)
     return v
 
@@ -210,6 +209,15 @@ def canonical_matrix(f: SymCanonicalForm) -> Mat3:
     raise ValueError(f"unknown form kind {kind!r}")
 
 
+def _require_symmetric(S: Mat3, tol: float) -> None:
+    """Exact input must equal its transpose; floating input within ``tol``."""
+    if S.kind == EXACT:
+        if S != S.transpose():
+            raise NotSymmetric("input is not symmetric")
+    elif (S - S.transpose()).frobenius_norm() > tol:
+        raise NotSymmetric("input is not symmetric at the tolerance")
+
+
 def _sort_key(z: complex):
     return (z.real, z.imag)
 
@@ -222,12 +230,7 @@ def classify_symmetric(S: Mat3, tol: float = DEFAULT_SYM_TOL) -> SymCanonicalFor
     parameters are sorted by (real, imag); signed coordinate permutations
     lie in SO(3,C), so the orderings are congruent.
     """
-    if S.kind == EXACT:
-        if S != S.transpose():
-            raise NotSymmetric("input is not symmetric")
-    elif (S - S.transpose()).frobenius_norm() > tol:
-        raise NotSymmetric("input is not symmetric at the tolerance")
-
+    _require_symmetric(S, tol)
     Sf = S.to_floating()
     sig = jordan_signature(Sf, tol)
 
@@ -324,10 +327,6 @@ def find_orthogonal_similarity(
     delegates to the general congruence decision procedure after checking
     symmetry of both inputs.
     """
-    for S in (S1, S2):
-        if S.kind == EXACT:
-            if S != S.transpose():
-                raise NotSymmetric("input is not symmetric")
-        elif (S - S.transpose()).frobenius_norm() > tol:
-            raise NotSymmetric("input is not symmetric at the tolerance")
+    _require_symmetric(S1, tol)
+    _require_symmetric(S2, tol)
     return mateq.congruence_test(S1, S2, budget=budget, seed=seed)

@@ -11,14 +11,12 @@ from postlie_sl2.linalg import (
     IM,
     IllConditioned,
     Mat3,
-    RankMismatch,
     Vec3,
     eigenvalues,
     jordan_signature,
-    rank1_factorization,
 )
 
-from conftest import gr, half, ihalf
+from conftest import gr
 
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8
@@ -277,59 +275,6 @@ class TestJordanSignature:
     def test_exact_needs_eigenvalues(self):
         with pytest.raises(TypeError):
             jordan_signature(Mat3.identity())
-
-
-# -- rank-1 factorization ----------------------------------------------------
-
-
-class TestRank1Factorization:
-    def test_kfamily0_representative(self):
-        A = Mat3(
-            [
-                [0, 0, 0],
-                [0, half(-1), ihalf()],
-                [0, ihalf(-1), half(-1)],
-            ]
-        )
-        alpha, beta = rank1_factorization(A)
-        assert alpha == Vec3([gr(0), gr(1), IM])
-        assert beta == Vec3([gr(0), half(-1), ihalf()])
-        outer = Mat3([[a * b for b in beta] for a in alpha])
-        assert outer == A
-
-    def test_e11(self):
-        A = Mat3([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-        alpha, beta = rank1_factorization(A)
-        assert alpha == Vec3([gr(1), gr(0), gr(0)])
-        assert beta == Vec3([gr(1), gr(0), gr(0)])
-
-    def test_identity_rejected(self):
-        with pytest.raises(RankMismatch):
-            rank1_factorization(Mat3.identity())
-
-    @given(
-        st.lists(gaussians, min_size=3, max_size=3),
-        st.lists(gaussians, min_size=3, max_size=3),
-    )
-    def test_outer_product_round_trip(self, a, b):
-        av, bv = Vec3(a), Vec3(b)
-        if av.is_zero() or bv.is_zero():
-            return
-        A = Mat3([[x * y for y in bv] for x in av])
-        alpha, beta = rank1_factorization(A)
-        assert Mat3([[x * y for y in beta] for x in alpha]) == A
-        # normalization: the first nonzero coordinate of alpha is one
-        lead = next(c for c in alpha.coords if c)
-        assert lead == gr(1)
-
-    def test_floating(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        A = Mat3.from_numpy(np.outer(a, b))
-        alpha, beta = rank1_factorization(A)
-        rebuilt = np.outer(np.array(alpha.coords), np.array(beta.coords))
-        assert np.linalg.norm(rebuilt - A.to_numpy()) < 1e-12
 
 
 # -- symmetric split ---------------------------------------------------------

@@ -18,6 +18,12 @@ from postlie_sl2.mateq import (
     representative,
     residual,
 )
+from postlie_sl2.symcanon import (
+    FormKind,
+    canonical_matrix,
+    find_orthogonal_similarity,
+    form,
+)
 
 from conftest import exact_congruate, gr, half, ihalf, sampled_tags
 
@@ -315,6 +321,96 @@ class TestCongruenceTest:
         v1 = congruence_test(A, B, budget=16, seed=99)
         v2 = congruence_test(A, B, budget=16, seed=99)
         assert v1 == v2
+
+
+def _assert_witness(W: Mat3, A: np.ndarray, B: np.ndarray):
+    T = W.to_numpy()
+    assert np.linalg.norm(T.T @ T - np.eye(3)) <= 1e-8
+    assert abs(np.linalg.det(T) - 1) <= 1e-8
+    assert np.linalg.norm(T.T @ A @ T - B) <= 1e-8
+
+
+# Two congruent KFamily inputs on which a Gauss-Newton search for S'S = I
+# over {S : A S = S B} stalled at an orthogonality defect near 1e-7 on all
+# 64 starts and answered unknown: a classify witness at k = -1.56-2.49i,
+# ||B||_2 = 7.38, and a congruence test at |k| = 6, ||B||_2 = 18.2.
+STALLED_CLASSIFY_B = [
+    [-0.32326029269947454 - 0.3534198801489236j, 0.4743518987000108 + 1.3355892348808953j,
+     0.892174789966659 - 0.6613092002280548j],
+    [-0.4198622529696464 + 1.3706234677606643j, -2.7384593708655127 - 4.05899595403719j,
+     -2.713152240783173 + 1.3247315568429656j],
+    [0.9586901160870279 + 0.6456819981686689j, -2.873478780097949 + 1.6715664551791303j,
+     0.5020631624996409 + 1.9219626876427514j],
+]
+STALLED_CONGRUENCE_K = -5.4294733419300645 - 2.553589479393816j
+STALLED_CONGRUENCE_B = [
+    [2.830811613319406 + 5.203752121673732j, -0.5469394422266601 - 1.7511383074736109j,
+     -6.61832563973266 + 5.354627227534106j],
+    [-0.7494865306591335 - 0.3220883685289161j, -0.37390040615292575 + 0.20646662316498435j,
+     0.7913937812817495 - 1.1879639067914485j],
+    [-6.417262153831378 + 5.410765545118323j, 1.8104113084222888 - 0.9149926073553275j,
+     -8.886384549096539 - 7.963808224232542j],
+]
+
+
+class TestWitnessConstruction:
+    def test_stalled_classify_gets_a_witness(self):
+        B = Mat3.from_numpy(np.array(STALLED_CLASSIFY_B))
+        report = classify(B, find_witness=True)
+        assert report.tag.kind == FamilyKind.K_FAMILY
+        assert report.witness is not None
+        rep = representative(report.tag).to_numpy()
+        _assert_witness(report.witness, rep, B.to_numpy())
+
+    def test_stalled_congruence_is_congruent(self):
+        A = representative(FamilyTag.k_family(STALLED_CONGRUENCE_K)).to_floating()
+        B = Mat3.from_numpy(np.array(STALLED_CONGRUENCE_B))
+        v = congruence_test(A, B)
+        assert v.status == "congruent"
+        _assert_witness(v.witness, A.to_numpy(), B.to_numpy())
+
+    def test_solution_congruates(self):
+        rng = np.random.default_rng(20261018)
+        tags = [
+            FamilyTag.k_family(
+                complex(10 ** rng.uniform(-3, 1) * np.exp(2j * np.pi * rng.uniform()))
+            )
+            for _ in range(24)
+        ]
+        tags += [FamilyTag.trace_minus_2(), FamilyTag.non_sym_rank1()] * 4
+        # random_so3 draws have ||T||_2 up to 10
+        for seed, tag in enumerate(tags):
+            A = representative(tag).to_floating()
+            B = congruate(A, so3c.random_so3(900 + seed).matrix)
+            v = congruence_test(A, B, seed=3)
+            assert v.status == "congruent", (tag, v)
+            _assert_witness(v.witness, A.to_numpy(), B.to_numpy())
+            report = classify(B, find_witness=True, seed=4)
+            assert report.witness is not None, tag
+            rep = representative(report.tag).to_numpy()
+            _assert_witness(report.witness, rep, B.to_numpy())
+
+    def test_nilpotent_symmetric_forms(self):
+        forms = [
+            form(FormKind.RANK1_NILP),
+            form(FormKind.RANK2_BIG_NILP),
+            form(FormKind.RANK3_BIG_BLOCK, 1.5 - 0.5j),
+        ]
+        for seed, f in enumerate(forms * 4):
+            S = canonical_matrix(f).to_floating()
+            S2 = congruate(S, so3c.random_so3(950 + seed).matrix)
+            v = find_orthogonal_similarity(S, S2, seed=5)
+            assert v.status == "congruent", (f, v)
+            _assert_witness(v.witness, S.to_numpy(), S2.to_numpy())
+
+    def test_arbitrary_complex_matrices(self):
+        rng = np.random.default_rng(11)
+        for seed in range(10):
+            A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            T = so3c.random_so3(980 + seed).matrix.to_numpy()
+            v = congruence_test(Mat3.from_numpy(A), Mat3.from_numpy(T.T @ A @ T), seed=6)
+            assert v.status == "congruent"
+            _assert_witness(v.witness, A, T.T @ A @ T)
 
 
 class TestRank3Rigidity:
