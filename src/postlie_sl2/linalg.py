@@ -2,9 +2,11 @@
 
 Two scalar worlds coexist and never mix inside one matrix:
 
-* exact     -- :class:`GaussianRational`, a complex number whose real and
-               imaginary parts are arbitrary-precision rationals.  Every
-               operation is exact; equality is mathematical equality.
+* exact     -- :class:`GaussianRational`, a complex number with rational
+               real and imaginary parts, stored as one Gaussian integer
+               ``num_re + num_im*i`` over one positive denominator ``den``
+               in lowest terms.  Every operation works on plain ints and
+               reduces once; equality is mathematical equality.
 * floating  -- the built-in ``complex``.  NaN and infinite entries are
                rejected when a matrix or vector is constructed.
 
@@ -62,26 +64,63 @@ def _to_rational(value) -> Fraction:
     return Fraction(value)
 
 
-class GaussianRational:
-    """Exact complex scalar ``re + im*sqrt(-1)`` with rational components.
+def _reduced(a: int, b: int, d: int) -> "GaussianRational":
+    """The scalar (a + b*i) / d for d > 0, brought to lowest terms."""
+    g = math.gcd(a, b, d)
+    z = object.__new__(GaussianRational)
+    if g == 1:
+        z.num_re, z.num_im, z.den = a, b, d
+    else:
+        z.num_re, z.num_im, z.den = a // g, b // g, d // g
+    return z
 
-    Components are kept in lowest terms with positive denominators by the
-    underlying rational type; the field axioms hold exactly.
+
+class GaussianRational:
+    """Exact complex scalar ``(num_re + num_im*i) / den``.
+
+    The value is stored as three plain ints: a Gaussian-integer numerator
+    ``num_re + num_im*i`` over one positive denominator ``den``, in lowest
+    terms (``gcd(num_re, num_im, den) == 1``).  Each operation computes
+    integer numerators and reduces once, so the triple is canonical and
+    equality compares triples.  The three attributes are read-only by
+    convention; ``re`` and ``im`` give the components as ``Fraction``s.
+
+    The constructor takes an int, a ``Fraction`` or a string for each
+    component; arithmetic and equality also accept int and ``Fraction``
+    operands, but not strings.  Hashing agrees with equality: a real value
+    hashes like its ``Fraction`` (and so like an int when it is one), any
+    other value like its ``(re, im)`` pair.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("num_re", "num_im", "den")
 
     def __init__(self, re=0, im=0):
-        self.re = _to_rational(re)
-        self.im = _to_rational(im)
+        if type(re) is int and type(im) is int:
+            self.num_re, self.num_im, self.den = re, im, 1
+            return
+        r, i = _to_rational(re), _to_rational(im)
+        # the lcm of two lowest-terms denominators leaves gcd(a, b, d) = 1
+        d = math.lcm(r.denominator, i.denominator)
+        self.num_re = r.numerator * (d // r.denominator)
+        self.num_im = i.numerator * (d // i.denominator)
+        self.den = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.num_re, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.num_im, self.den)
 
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod
     def _coerce(value):
-        if isinstance(value, GaussianRational):
+        if type(value) is GaussianRational:
             return value
-        if isinstance(value, (float, complex)):
+        # a string operand would equal the scalar but not hash like it
+        if isinstance(value, (float, complex, str)):
             return None
         try:
             return GaussianRational(value)
@@ -89,47 +128,54 @@ class GaussianRational:
             return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d, f = self.den, o.den
+        if d == f:
+            return _reduced(self.num_re + o.num_re, self.num_im + o.num_im, d)
+        return _reduced(
+            self.num_re * f + o.num_re * d, self.num_im * f + o.num_im * d, d * f
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        d, f = self.den, o.den
+        if d == f:
+            return _reduced(self.num_re - o.num_re, self.num_im - o.num_im, d)
+        return _reduced(
+            self.num_re * f - o.num_re * d, self.num_im * f - o.num_im * d, d * f
+        )
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, e = self.num_re, self.num_im, o.num_re, o.num_im
+        return _reduced(a * c - b * e, a * e + b * c, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if not d:
+        # ((a+bi)/d) / ((c+ei)/f) = (a+bi)(c-ei) f / (d (c^2+e^2))
+        a, b, c, e, f = self.num_re, self.num_im, o.num_re, o.num_im, o.den
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.den * n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -138,7 +184,7 @@ class GaussianRational:
         return o / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self.num_re, -self.num_im, self.den)
 
     def __pos__(self):
         return self
@@ -146,36 +192,41 @@ class GaussianRational:
     # -- comparisons / conversions --------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self.num_re, self.num_im, self.den) == (o.num_re, o.num_im, o.den)
 
     def __hash__(self):
+        if not self.num_im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.num_re or self.num_im)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self.num_re, -self.num_im, self.den)
 
-    def abs_squared(self):
+    def abs_squared(self) -> Fraction:
         """``re**2 + im**2`` as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self.num_re, self.num_im, self.den
+        return Fraction(a * a + b * b, d * d)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as float(Fraction) is
+        return complex(self.num_re / self.den, self.num_im / self.den)
 
     __complex__ = to_complex
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
     def __repr__(self):
         return f"GaussianRational('{self.re}', '{self.im}')"
@@ -187,7 +238,12 @@ IM = GaussianRational(0, 1)
 
 def _coerce_scalars(values, where="entries"):
     """Normalize a flat scalar list to one kind; reject mixed or non-finite."""
-    values = list(values)
+    values = tuple(values)
+    # the first entry settles the common floating case without a scan
+    if type(values[0]) is GaussianRational and all(
+        type(v) is GaussianRational for v in values
+    ):
+        return values, EXACT
     has_float = any(isinstance(v, (float, complex)) for v in values)
     has_exact = any(isinstance(v, (GaussianRational, Fraction)) for v in values)
     if not has_float and not has_exact:

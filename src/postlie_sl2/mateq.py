@@ -3,8 +3,9 @@
 Provides the residual of the equation, the five canonical solution
 families, the SO(3,C) congruence action, a congruence decision procedure
 (invariant prefilter, then a witness built as the orthogonal polar factor
-of a simultaneous similarity of (A, A') and (B, B')), and the classifier
-that maps an arbitrary solution to its family.
+of a simultaneous similarity of (A, A') and (B, B'), then, when no witness
+is found, a comparison of nullspace dimensions), and the classifier that
+maps an arbitrary solution to its family.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ DEFAULT_WITNESS_TOL = 1e-8
 DEFAULT_BUDGET = 64
 #: a prefilter mismatch must exceed this multiple of the tolerance
 PREFILTER_MARGIN = 10.0
+#: singular values decide a nullspace dimension only when each lies this
+#: factor or more away from the cutoff
+NULLITY_GAP = 1e3
 
 
 class NotASolution(ValueError):
@@ -303,12 +307,17 @@ def invariant_prefilter(A: Mat3, B: Mat3, tol: float) -> str | None:
     return None
 
 
-def _nullspace_sylvester(Af: np.ndarray, Bf: np.ndarray) -> list[np.ndarray]:
-    """Basis of {S : A S = S B, A' S = S B'} under row-major vectorization.
+def _nullspace_sylvester(
+    Af: np.ndarray, Bf: np.ndarray
+) -> tuple[list[np.ndarray], bool]:
+    """Basis of {S : A S = S B, A' S = S B'} under row-major vectorization,
+    and whether its dimension is decided.
 
     Every witness lies here: transposing T'AT = B for an orthogonal T gives
     A'T = TB'.  The space is closed under S -> S^-T, and S'S commutes with
-    B for each S in it.
+    B for each S in it.  The dimension counts singular values at or below
+    a cutoff; it is decided when every singular value lies a factor
+    ``NULLITY_GAP`` or more away from that cutoff.
     """
     I = np.eye(3)
     M = np.vstack(
@@ -316,7 +325,11 @@ def _nullspace_sylvester(Af: np.ndarray, Bf: np.ndarray) -> list[np.ndarray]:
     )
     _, sv, vh = np.linalg.svd(M)
     cutoff = 1e-10 * max(1.0, float(sv[0]))
-    return [vh[idx].conj().reshape(3, 3) for idx in range(9) if sv[idx] <= cutoff]
+    basis = [vh[idx].conj().reshape(3, 3) for idx in range(9) if sv[idx] <= cutoff]
+    decided = all(
+        x <= cutoff / NULLITY_GAP or x >= cutoff * NULLITY_GAP for x in sv.tolist()
+    )
+    return basis, decided
 
 
 def _orthogonal_polar_factor(S: np.ndarray, max_iter: int = 60):
@@ -339,6 +352,31 @@ def _orthogonal_polar_factor(S: np.ndarray, max_iter: int = 60):
     return X, defect
 
 
+def _verdict_without_witness(
+    Af: np.ndarray, Bf: np.ndarray, attempts: int
+) -> CongruenceVerdict:
+    """``not_congruent`` when nullspace dimensions separate A from B,
+    ``unknown`` otherwise.
+
+    If (A, A') and (B, B') are simultaneously similar, the spaces
+    {S : X S = S Y, X' S = S Y'} for (X, Y) = (A, A), (A, B) and (B, B)
+    have one dimension (Byrnes and Gauger for a pair of matrices, extended
+    to tuples by Friedland).  Unequal dimensions, each decided with a clear
+    singular-value gap, therefore rule out congruence.
+    """
+    dims = []
+    for X, Y in ((Af, Af), (Af, Bf), (Bf, Bf)):
+        basis, decided = _nullspace_sylvester(X, Y)
+        if not decided:
+            return CongruenceVerdict.unknown(attempts)
+        dims.append(len(basis))
+    if dims[0] == dims[1] == dims[2]:
+        return CongruenceVerdict.unknown(attempts)
+    return CongruenceVerdict.not_congruent(
+        "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = " + str(tuple(dims))
+    )
+
+
 def congruence_test(
     A: Mat3,
     B: Mat3,
@@ -356,9 +394,11 @@ def congruence_test(
     simultaneously similar, and the orthogonal polar factor of such a
     similarity S is a witness.  Up to ``budget`` seeded random S from the
     nullspace of S -> (A S - S B, A' S - S B') go through Newton's polar
-    iteration; a verified witness gives ``congruent``, anything else
-    ``unknown``.  Witnesses satisfy T'T = I, det T = 1 and T' A T = B to
-    ``tol``.
+    iteration; a verified witness gives ``congruent``.  When no witness is
+    found, unequal dimensions of the nullspaces for (A, A), (A, B) and
+    (B, B), each decided with a clear singular-value gap, give
+    ``not_congruent``; anything else is ``unknown``.  Witnesses satisfy
+    T'T = I, det T = 1 and T' A T = B to ``tol``.
     """
     sep = invariant_prefilter(A, B, tol)
     if sep is not None:
@@ -368,9 +408,9 @@ def congruence_test(
     if float(np.linalg.norm(Af - Bf)) <= tol:
         return CongruenceVerdict.congruent(Mat3.identity(exact=False))
 
-    basis = _nullspace_sylvester(Af, Bf)
+    basis, _ = _nullspace_sylvester(Af, Bf)
     if not basis:
-        return CongruenceVerdict.unknown(0)
+        return _verdict_without_witness(Af, Bf, 0)
 
     stack = np.stack(basis)
     for start in range(budget):
@@ -394,7 +434,7 @@ def congruence_test(
         if np.linalg.norm(S.T @ Af @ S - Bf) > tol:
             continue
         return CongruenceVerdict.congruent(Mat3.from_numpy(S))
-    return CongruenceVerdict.unknown(budget)
+    return _verdict_without_witness(Af, Bf, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -228,11 +228,9 @@ def _integer_vectors(scalars, exact):
     floating scalars become float pairs over D = 1.0.
     """
     if exact:
-        D = math.lcm(*(q.denominator for z in scalars for q in (z.re, z.im)))
+        D = math.lcm(*(z.den for z in scalars))
         pairs = [
-            (z.re.numerator * (D // z.re.denominator),
-             z.im.numerator * (D // z.im.denominator))
-            for z in scalars
+            (z.num_re * (D // z.den), z.num_im * (D // z.den)) for z in scalars
         ]
     else:
         D = 1.0
@@ -297,9 +295,7 @@ def _violations(defects, D, exact, tol):
             if r == _ZERO:
                 continue
             s = D**power
-            residual = Vec3(
-                [GaussianRational(Fraction(re, s), Fraction(im, s)) for re, im in r]
-            )
+            residual = Vec3([GaussianRational(re, im) / s for re, im in r])
         else:
             residual = Vec3([complex(re, im) for re, im in r])
             if not residual.max_abs() > tol:

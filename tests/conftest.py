@@ -146,6 +146,187 @@ def reference_check_rota_baxter(A, tol=1e-9):
     return violations
 
 
+# Reference Gaussian rationals: the scalar as a pair of Fractions, each
+# operation written out on the components.  The package stores one Gaussian
+# integer over one denominator instead and must agree with this class on
+# every operation.
+
+
+class ReferenceGaussianRational:
+    """Exact complex scalar ``re + im*i`` with ``Fraction`` components."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
+            raise TypeError("exact scalars need rational components")
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, ReferenceGaussianRational):
+            return value
+        if isinstance(value, (float, complex)):
+            return None
+        try:
+            return ReferenceGaussianRational(value)
+        except (TypeError, ValueError):
+            return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ReferenceGaussianRational(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ReferenceGaussianRational(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ReferenceGaussianRational(o.re - self.re, o.im - self.im)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ReferenceGaussianRational(
+            self.re * o.re - self.im * o.im,
+            self.re * o.im + self.im * o.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = o.re * o.re + o.im * o.im
+        if not d:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return ReferenceGaussianRational(
+            (self.re * o.re + self.im * o.im) / d,
+            (self.im * o.re - self.re * o.im) / d,
+        )
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __neg__(self):
+        return ReferenceGaussianRational(-self.re, -self.im)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def conjugate(self):
+        return ReferenceGaussianRational(self.re, -self.im)
+
+    def abs_squared(self):
+        return self.re * self.re + self.im * self.im
+
+    def to_complex(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    __complex__ = to_complex
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+    def __repr__(self):
+        return f"GaussianRational('{self.re}', '{self.im}')"
+
+
+# Reference 3x3 algebra on nested lists of ReferenceGaussianRational.
+
+
+def reference_matmul(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(3)), ReferenceGaussianRational(0))
+         for j in range(3)]
+        for i in range(3)
+    ]
+
+
+def reference_transpose(a):
+    return [[a[j][i] for j in range(3)] for i in range(3)]
+
+
+def reference_det(a):
+    return (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+
+
+def reference_adjugate(a):
+    def cofactor(i, j):
+        rs = [k for k in range(3) if k != i]
+        cs = [k for k in range(3) if k != j]
+        m = a[rs[0]][cs[0]] * a[rs[1]][cs[1]] - a[rs[0]][cs[1]] * a[rs[1]][cs[0]]
+        return m if (i + j) % 2 == 0 else -m
+
+    return [[cofactor(j, i) for j in range(3)] for i in range(3)]
+
+
+def reference_trace(a):
+    return a[0][0] + a[1][1] + a[2][2]
+
+
+def reference_char_poly(a):
+    return (-reference_trace(a), reference_trace(reference_adjugate(a)), -reference_det(a))
+
+
+def reference_residual(a):
+    """A'((tr A + 1) I - A) - A* in reference arithmetic."""
+    s = reference_trace(a) + 1
+    shifted = [[(s if i == j else 0) - a[i][j] for j in range(3)] for i in range(3)]
+    product = reference_matmul(reference_transpose(a), shifted)
+    adj = reference_adjugate(a)
+    return [[product[i][j] - adj[i][j] for j in range(3)] for i in range(3)]
+
+
+def reference_rank(a):
+    """Rank by Gaussian elimination over the field."""
+    m = [list(r) for r in a]
+    rank = 0
+    for col in range(3):
+        pivot = next((r for r in range(rank, 3) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, 3):
+            f = m[r][col] / m[rank][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def exact_congruate(tag_or_matrix, seed):
     """An exact SO(3,C)-congruate; stays inside the Gaussian-rational field."""
     A = (

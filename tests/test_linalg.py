@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postlie_sl2.linalg import (
+    EXACT,
     GaussianRational,
     IM,
     IllConditioned,
@@ -15,13 +16,24 @@ from postlie_sl2.linalg import (
     eigenvalues,
     jordan_signature,
 )
+from postlie_sl2.mateq import residual
 
-from conftest import gr
+from conftest import (
+    ReferenceGaussianRational as Ref,
+    gr,
+    reference_adjugate,
+    reference_char_poly,
+    reference_det,
+    reference_rank,
+    reference_residual,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8
 )
 gaussians = st.builds(GaussianRational, rationals, rationals)
+#: rationals with denominators up to 1e6, for the kernel against its reference
+big_rationals = st.builds(Fraction, st.integers(-10**7, 10**7), st.integers(1, 10**6))
 exact_mats = st.lists(gaussians, min_size=9, max_size=9).map(
     lambda e: Mat3([e[0:3], e[3:6], e[6:9]])
 )
@@ -62,6 +74,183 @@ class TestGaussianRational:
     def test_division_round_trip(self, a, b):
         if b:
             assert (a / b) * b == a
+
+    def test_equal_values_hash_alike(self):
+        half = Fraction(1, 2)
+        assert GaussianRational(1) in {1}
+        assert len({GaussianRational(1), 1}) == 1
+        assert GaussianRational(half) in {half}
+        assert len({GaussianRational(half), half}) == 1
+        assert hash(GaussianRational(-3)) == hash(-3)
+        assert hash(GaussianRational(half, 2)) == hash((half, Fraction(2)))
+
+    def test_strings_are_not_operands(self):
+        one = GaussianRational(1)
+        assert one != "1" and "1" != one
+        assert len({one, "1"}) == 2
+        for op in ARITHMETIC:
+            with pytest.raises(TypeError):
+                op(one, "1")
+            with pytest.raises(TypeError):
+                op("1", one)
+
+    @given(st.one_of(st.integers(-10**9, 10**9), big_rationals))
+    def test_real_values_hash_like_their_rational(self, q):
+        assert GaussianRational(q) == q
+        assert hash(GaussianRational(q)) == hash(q)
+
+
+# -- GaussianRational against the Fraction-pair reference --------------------
+
+
+def _canonical(z: GaussianRational) -> bool:
+    return (
+        type(z.num_re) is int
+        and type(z.num_im) is int
+        and type(z.den) is int
+        and z.den > 0
+        and math.gcd(z.num_re, z.num_im, z.den) == 1
+    )
+
+
+def _agrees(z, ref: Ref) -> bool:
+    """``z`` is canonical and holds the reference value."""
+    return isinstance(z, GaussianRational) and _canonical(z) and (z.re, z.im) == (ref.re, ref.im)
+
+
+def _bits(c: complex):
+    return (c.real.hex(), c.imag.hex())
+
+
+components = st.one_of(st.just(0), st.integers(-50, 50), big_rationals)
+scalar_pairs = st.tuples(components, components)
+huge_rationals = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**30))
+operands = st.one_of(st.integers(-10**6, 10**6), big_rationals)
+ARITHMETIC = (
+    lambda x, y: x + y,
+    lambda x, y: x - y,
+    lambda x, y: x * y,
+    lambda x, y: x / y,
+)
+
+
+def _both(pair):
+    return GaussianRational(*pair), Ref(*pair)
+
+
+def _check_op(op, x, y, rx, ry):
+    try:
+        want = op(rx, ry)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op(x, y)
+        return
+    assert _agrees(op(x, y), want)
+
+
+class TestAgainstReference:
+    @given(scalar_pairs)
+    def test_construction(self, pair):
+        x, ref = _both(pair)
+        assert _agrees(x, ref)
+        # string components, as the JSON decoder passes them
+        assert GaussianRational(str(pair[0]), str(pair[1])) == x
+
+    @given(scalar_pairs, scalar_pairs)
+    def test_arithmetic(self, p, q):
+        (x, rx), (y, ry) = _both(p), _both(q)
+        for op in ARITHMETIC:
+            _check_op(op, x, y, rx, ry)
+
+    @given(scalar_pairs, operands)
+    def test_mixed_operands(self, p, c):
+        x, rx = _both(p)
+        for op in ARITHMETIC:
+            _check_op(op, x, c, rx, c)
+            _check_op(op, c, x, c, rx)
+
+    @given(scalar_pairs, scalar_pairs, operands)
+    def test_equality_and_truth(self, p, q, c):
+        (x, rx), (y, ry) = _both(p), _both(q)
+        assert (x == y) == (rx == ry)
+        assert (x == c) == (rx == c) and (c == x) == (c == rx)
+        assert x == GaussianRational(*p)
+        assert bool(x) == bool(rx)
+        assert not (x == 0.0) and x != complex(x)
+
+    @given(scalar_pairs)
+    def test_unary_and_conversions(self, p):
+        x, rx = _both(p)
+        assert _agrees(-x, -rx)
+        assert _agrees(+x, rx)
+        assert _agrees(x.conjugate(), rx.conjugate())
+        assert x.abs_squared() == rx.abs_squared()
+        assert type(x.abs_squared()) is Fraction
+        assert type(x.re) is Fraction and type(x.im) is Fraction
+        assert str(x) == str(rx)
+        assert repr(x) == repr(rx)
+        assert _bits(complex(x)) == _bits(complex(rx))
+        assert _bits(x.to_complex()) == _bits(rx.to_complex())
+
+    @given(huge_rationals, huge_rationals)
+    def test_complex_of_huge_components(self, re, im):
+        # past 2**53 a float of each int would round twice
+        x, rx = GaussianRational(re, im), Ref(re, im)
+        assert _bits(complex(x)) == _bits(complex(rx))
+
+    @given(scalar_pairs)
+    def test_division_by_zero(self, p):
+        x, _ = _both(p)
+        for zero in (GaussianRational(0), 0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+        if x:
+            with pytest.raises(ZeroDivisionError):
+                GaussianRational(0) / (x - x)
+
+    def test_rejects_float_operands(self):
+        x = GaussianRational(1, 1)
+        for op in ARITHMETIC:
+            with pytest.raises(TypeError):
+                op(x, 0.5)
+            with pytest.raises(TypeError):
+                op(0.5j, x)
+
+
+@st.composite
+def reference_matrices(draw):
+    """A 3x3 reference matrix of rank at most a drawn bound r: the rows
+    past the first r are reference combinations of those."""
+    entries = draw(st.lists(scalar_pairs, min_size=9, max_size=9))
+    rows = [[Ref(*entries[3 * i + j]) for j in range(3)] for i in range(3)]
+    r = draw(st.integers(0, 3))
+    coefficients = draw(st.lists(scalar_pairs, min_size=4, max_size=4))
+    for i in range(r, 3):
+        c = [Ref(*coefficients[2 * (i - 1) + m]) for m in range(r)]
+        rows[i] = [sum((c[m] * rows[m][j] for m in range(r)), Ref(0)) for j in range(3)]
+    return rows
+
+
+def _as_mat3(rows) -> Mat3:
+    return Mat3([[GaussianRational(x.re, x.im) for x in r] for r in rows])
+
+
+def _mat_agrees(M: Mat3, rows) -> bool:
+    return M.kind == EXACT and all(
+        _agrees(M[i, j], rows[i][j]) for i in range(3) for j in range(3)
+    )
+
+
+class TestMat3AgainstReference:
+    @given(reference_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_kernel(self, rows):
+        A = _as_mat3(rows)
+        assert _mat_agrees(A.adjugate(), reference_adjugate(rows))
+        assert _agrees(A.det(), reference_det(rows))
+        assert all(_agrees(c, r) for c, r in zip(A.char_poly(), reference_char_poly(rows)))
+        assert _mat_agrees(residual(A), reference_residual(rows))
+        assert A.rank() == reference_rank(rows)
 
 
 # -- basic matrix operations -----------------------------------------------

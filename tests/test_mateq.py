@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from postlie_sl2 import so3c
+from postlie_sl2 import mateq, so3c
 from postlie_sl2.linalg import GaussianRational, IM, Mat3
 from postlie_sl2.mateq import (
     FamilyKind,
@@ -411,6 +411,52 @@ class TestWitnessConstruction:
             v = congruence_test(Mat3.from_numpy(A), Mat3.from_numpy(T.T @ A @ T), seed=6)
             assert v.status == "congruent"
             _assert_witness(v.witness, A, T.T @ A @ T)
+
+
+class TestNullitySeparation:
+    """Pairs that share every prefilter invariant and have no witness: the
+    nullspace dimensions for (A, A), (A, B) and (B, B) separate them."""
+
+    PREFIX = "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = "
+
+    def test_rank2_block_against_rank2_diag(self):
+        A = canonical_matrix(form(FormKind.RANK2_BLOCK, 1.5 + 0j))
+        B = canonical_matrix(form(FormKind.RANK2_DIAG, 1.5 + 0j, 1.5 + 0j))
+        v = find_orthogonal_similarity(A, B, seed=1)
+        assert v.status == "not_congruent"
+        assert v.separating_invariant == self.PREFIX + "(3, 3, 5)"
+
+    def test_rank3_one_block_against_scalar(self):
+        A = canonical_matrix(form(FormKind.RANK3_ONE_BLOCK, 2 + 0j, 2 + 0j))
+        B = Mat3.diag(2 + 0j, 2 + 0j, 2 + 0j)
+        v = find_orthogonal_similarity(A, B, seed=1)
+        assert v.status == "not_congruent"
+        assert v.separating_invariant == self.PREFIX + "(5, 6, 9)"
+
+    def test_congruent_pairs_are_never_separated(self):
+        # with no search budget every pair falls through to the check
+        rng = np.random.default_rng(20261018)
+        tags = [
+            FamilyTag.k_family(
+                complex(10 ** rng.uniform(-3, 1) * np.exp(2j * np.pi * rng.uniform()))
+            )
+            for _ in range(24)
+        ]
+        tags += [FamilyTag.trace_minus_2(), FamilyTag.non_sym_rank1()] * 4
+        for seed, tag in enumerate(tags):
+            A = representative(tag).to_floating()
+            B = congruate(A, so3c.random_so3(900 + seed).matrix)
+            assert congruence_test(A, B, budget=0).status == "unknown", tag
+
+    def test_undecided_gap_stays_unknown(self):
+        # singular values 2.8e-10 sit next to the cutoff 1.4e-10: counted as
+        # nonzero they would read (3, 3, 5), but they are too close to call
+        A = np.diag([1, 2e-10, 0]).astype(complex)
+        B = np.diag([1, 0, 0]).astype(complex)
+        dims = [len(mateq._nullspace_sylvester(X, Y)[0]) for X, Y in ((A, A), (A, B), (B, B))]
+        assert dims == [3, 3, 5]
+        assert mateq._nullspace_sylvester(A, B)[1] is False
+        assert mateq._verdict_without_witness(A, B, 0).status == "unknown"
 
 
 class TestRank3Rigidity:
