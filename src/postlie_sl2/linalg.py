@@ -419,11 +419,19 @@ class _SquareMatrix:
     def __matmul__(self, other):
         n = self._n
         a, b = self.rows, other.rows
+        if self.kind == EXACT:
+            # start each sum at its first product: no zero to build and add
+            return type(self)(
+                [
+                    [sum((a[i][k] * b[k][j] for k in range(1, n)), a[i][0] * b[0][j])
+                     for j in range(n)]
+                    for i in range(n)
+                ]
+            )
+        # floating sums start at 0j, which turns a first product of -0.0 into
+        # +0.0; floating products and their JSON keep that sign of zero
         return type(self)(
-            [
-                [sum((a[i][k] * b[k][j] for k in range(n)), _zero_like(a[i][0])) for j in range(n)]
-                for i in range(n)
-            ]
+            [[sum((a[i][k] * b[k][j] for k in range(n)), 0j) for j in range(n)] for i in range(n)]
         )
 
     def transpose(self):
@@ -463,7 +471,7 @@ class _SquareMatrix:
 
     @classmethod
     def from_numpy(cls, arr) -> "_SquareMatrix":
-        return cls([[complex(x) for x in row] for row in np.asarray(arr)])
+        return cls(np.asarray(arr, dtype=complex).tolist())
 
     def close_to(self, other, tol: float) -> bool:
         a = self.to_numpy() - other.to_numpy()
@@ -477,10 +485,6 @@ class _SquareMatrix:
     def __repr__(self):
         body = ", ".join(repr(list(r)) for r in self.rows)
         return f"{type(self).__name__}([{body}])"
-
-
-def _zero_like(x):
-    return GaussianRational(0) if isinstance(x, GaussianRational) else 0j
 
 
 class Mat2(_SquareMatrix):

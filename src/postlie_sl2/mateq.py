@@ -1,15 +1,21 @@
 """The matrix equation A'((tr A + 1) I - A) = A* and its solution classes.
 
-Provides the residual of the equation, the five canonical solution
-families, the SO(3,C) congruence action, a congruence decision procedure
+Provides the residual of the equation, on a ``Mat3`` (exact or floating)
+and on a stack of complex (3,3) arrays; the five canonical solution
+families; the SO(3,C) congruence action; a congruence decision procedure
 (invariant prefilter, then a witness built as the orthogonal polar factor
-of a simultaneous similarity of (A, A') and (B, B'), then, when no witness
-is found, a comparison of nullspace dimensions), and the classifier that
-maps an arbitrary solution to its family.
+of a simultaneous similarity of (A, A') and (B, B'), with a comparison of
+nullspace dimensions once a start has failed); and the classifier that
+maps a solution to its family.  The classifier has one decision tree from
+invariants to a family.  Exact input reaches it through exact ``Mat3``
+arithmetic; floating input, one matrix or a whole stack, through one
+stacked pass that computes residuals, traces and ranks with batched SVDs
+and reports how close each rank decision came to its threshold.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -28,12 +34,14 @@ __all__ = [
     "NotASolution",
     "Inconclusive",
     "residual",
+    "residual_array",
     "is_solution",
     "representative",
     "congruate",
     "rank2_identity_residual",
     "rank1_identity_residual",
     "classify",
+    "classify_stack",
     "invariant_prefilter",
     "congruence_test",
 ]
@@ -47,6 +55,10 @@ PREFILTER_MARGIN = 10.0
 #: singular values decide a nullspace dimension only when each lies this
 #: factor or more away from the cutoff
 NULLITY_GAP = 1e3
+#: the rank invariants the classifier reads, by their names in a report
+RANK_A = "rank(A)"
+RANK_SHIFTED_SYM = "rank(sym(A)+I/2)"
+RANK_ATA = "rank(A'A)"
 
 
 class NotASolution(ValueError):
@@ -112,6 +124,10 @@ class ClassificationReport:
     residual_norm: float
     invariants_used: tuple
     witness: Mat3 | None = None
+    #: (invariant, singular value nearest the threshold, threshold), one per
+    #: floating rank decision in the order of ``invariants_used``; exact
+    #: ranks have no margin
+    margins: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -151,6 +167,22 @@ def residual(A: Mat3) -> Mat3:
     I = Mat3.identity_like(A)
     s = A.trace() + 1
     return A.transpose() @ (I.scale(s) - A) - A.adjugate()
+
+
+_I3 = np.eye(3)
+
+
+def residual_array(A: np.ndarray) -> np.ndarray:
+    """:func:`residual` on a complex (3,3) array or a stack of them, with the
+    Cayley-Hamilton adjugate A* = A^2 - tr(A) A + ((tr A)^2 - tr(A^2))/2 I.
+
+    Each matrix of a stack is computed on its own; the result agrees with
+    the cofactor adjugate of :func:`residual` up to rounding.
+    """
+    t = np.trace(A, axis1=-2, axis2=-1)[..., None, None]
+    A2 = A @ A
+    c1 = (t * t - np.trace(A2, axis1=-2, axis2=-1)[..., None, None]) / 2
+    return np.swapaxes(A, -1, -2) @ ((t + 1) * _I3 - A) - (A2 - t * A + c1 * _I3)
 
 
 def is_solution(A: Mat3, tol: float = DEFAULT_SOLUTION_TOL) -> bool:
@@ -377,6 +409,33 @@ def _verdict_without_witness(
     )
 
 
+def _witness_from_start(
+    stack: np.ndarray, Af: np.ndarray, Bf: np.ndarray, seed: int, start: int, tol: float
+) -> np.ndarray | None:
+    """The witness from one seeded random member of the nullspace spanned
+    by ``stack``, or None when its polar factor fails verification."""
+    rng = np.random.default_rng([seed, start])
+    c0 = rng.standard_normal(len(stack)) + 1j * rng.standard_normal(len(stack))
+    S0 = np.tensordot(c0, stack, axes=1)
+    scale = np.linalg.norm(S0)
+    if scale < 1e-12:
+        return None
+    S, defect = _orthogonal_polar_factor(S0 * (math.sqrt(3.0) / scale))
+    if not defect <= 1e-10:
+        return None
+    det = np.linalg.det(S)
+    if abs(det + 1) <= tol:
+        S = -S  # odd dimension: -S is orthogonal with determinant +1
+        det = np.linalg.det(S)
+    if abs(det - 1) > tol:
+        return None
+    if np.linalg.norm(S.T @ S - np.eye(3)) > tol:
+        return None
+    if np.linalg.norm(S.T @ Af @ S - Bf) > tol:
+        return None
+    return S
+
+
 def congruence_test(
     A: Mat3,
     B: Mat3,
@@ -394,11 +453,14 @@ def congruence_test(
     simultaneously similar, and the orthogonal polar factor of such a
     similarity S is a witness.  Up to ``budget`` seeded random S from the
     nullspace of S -> (A S - S B, A' S - S B') go through Newton's polar
-    iteration; a verified witness gives ``congruent``.  When no witness is
-    found, unequal dimensions of the nullspaces for (A, A), (A, B) and
-    (B, B), each decided with a clear singular-value gap, give
-    ``not_congruent``; anything else is ``unknown``.  Witnesses satisfy
-    T'T = I, det T = 1 and T' A T = B to ``tol``.
+    iteration; a verified witness gives ``congruent``.  Right after the
+    first start that gives no witness, the dimensions of the nullspaces
+    for (A, A), (A, B) and (B, B) are compared once: unequal dimensions,
+    each decided with a clear singular-value gap, give ``not_congruent``
+    at once, and otherwise the search goes on.  When no start gives a
+    witness and the dimensions do not separate, the verdict is
+    ``unknown``.  Witnesses satisfy T'T = I, det T = 1 and T' A T = B to
+    ``tol``.
     """
     sep = invariant_prefilter(A, B, tol)
     if sep is not None:
@@ -413,32 +475,130 @@ def congruence_test(
         return _verdict_without_witness(Af, Bf, 0)
 
     stack = np.stack(basis)
+    fallback = None
     for start in range(budget):
-        rng = np.random.default_rng([seed, start])
-        c0 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        S0 = np.tensordot(c0, stack, axes=1)
-        scale = np.linalg.norm(S0)
-        if scale < 1e-12:
-            continue
-        S, defect = _orthogonal_polar_factor(S0 * (math.sqrt(3.0) / scale))
-        if not defect <= 1e-10:
-            continue
-        det = np.linalg.det(S)
-        if abs(det + 1) <= tol:
-            S = -S  # odd dimension: -S is orthogonal with determinant +1
-            det = np.linalg.det(S)
-        if abs(det - 1) > tol:
-            continue
-        if np.linalg.norm(S.T @ S - np.eye(3)) > tol:
-            continue
-        if np.linalg.norm(S.T @ Af @ S - Bf) > tol:
-            continue
-        return CongruenceVerdict.congruent(Mat3.from_numpy(S))
-    return _verdict_without_witness(Af, Bf, budget)
+        S = _witness_from_start(stack, Af, Bf, seed, start, tol)
+        if S is not None:
+            return CongruenceVerdict.congruent(Mat3.from_numpy(S))
+        if fallback is None:
+            # once a start has failed, a separating nullity ends the search
+            fallback = _verdict_without_witness(Af, Bf, budget)
+            if fallback.status == "not_congruent":
+                return fallback
+    return fallback if fallback is not None else _verdict_without_witness(Af, Bf, budget)
 
 
 # ---------------------------------------------------------------------------
 # classification
+
+
+def _family_tag(rank_of, trace, at_minus_2: bool, exact: bool):
+    """The decision tree from invariants to a family, shared by the exact
+    and the floating classifier.
+
+    ``rank_of(name)`` gives the rank named ``RANK_A``, ``RANK_SHIFTED_SYM``
+    or ``RANK_ATA``, and is asked only for the ranks a branch reads:
+    rank(A) splits the five families except for two ambiguous spots, which
+    rank(sym(A) + I/2) (rank 1) and rank(A'A) (rank 2, trace -2) resolve.
+    A KFamily member has k = tr(A) + 1.  Returns the tag and the invariants
+    read, and raises :class:`Inconclusive` when no branch matches.
+    """
+    r = rank_of(RANK_A)
+    invariants = [(RANK_A, r)]
+    tag = None
+    if r == 0:
+        tag = FamilyTag.zero()
+    elif r == 3:
+        tag = FamilyTag.minus_identity()
+    elif r == 1:
+        s = rank_of(RANK_SHIFTED_SYM)
+        invariants.append((RANK_SHIFTED_SYM, s))
+        if s == 1:
+            tag = FamilyTag.k_family(GaussianRational(0) if exact else 0j)
+        elif s == 2:
+            tag = FamilyTag.non_sym_rank1()
+    elif r == 2:
+        invariants.append(("tr(A)", trace))
+        if not at_minus_2:
+            tag = FamilyTag.k_family(trace + 1)
+        else:
+            ra = rank_of(RANK_ATA)
+            invariants.append((RANK_ATA, ra))
+            if ra == 2:
+                tag = FamilyTag.trace_minus_2()
+            elif ra == 1:
+                tag = FamilyTag.k_family(trace + 1)
+    if tag is None:
+        raise Inconclusive(f"no branch matches invariants {invariants}")
+    return tag, tuple(invariants)
+
+
+def _rank_decisions(sv: np.ndarray, tol: float, floor) -> list:
+    """(rank, singular value nearest the threshold in ratio, threshold) for
+    each row of a stack of descending singular values, the rank by the rule
+    of ``Mat3.rank(tol, floor)``; ``floor`` is one number or one per row."""
+    threshold = tol * np.maximum(sv[:, 0], floor)
+    rank = np.where(sv[:, 0] == 0.0, 0, (sv > threshold[:, None]).sum(axis=1))
+    with np.errstate(divide="ignore"):
+        gap = np.abs(np.log(sv / threshold[:, None]))
+    nearest = sv[np.arange(len(sv)), gap.argmin(axis=1)]
+    return list(zip(rank.tolist(), nearest.tolist(), threshold.tolist()))
+
+
+def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
+    """Floating classification of every matrix of a stack of finite complex
+    (3,3) arrays, shape (N,3,3).
+
+    Entry n of the list is the :class:`ClassificationReport` that
+    :func:`classify` returns for ``A[n]``, or the :class:`NotASolution` or
+    :class:`Inconclusive` it raises.  The residual and its norm, rank(A),
+    tr(A) and the spectral scale max(||A||_2, 1) are computed for the
+    whole stack, rank(A) from one batched SVD.  rank(sym(A) + I/2),
+    floored at the scale, is computed only for the rows of rank 1, and
+    rank(A'A), floored at the scale squared, only for the rows of rank 2
+    with |tr(A) + 2| <= tol.  Each report lists one margin per rank
+    decision: the singular value nearest the threshold, and the threshold.
+    A row's report does not depend on the other rows.
+    """
+    A = np.asarray(A, dtype=complex)
+    res_norm = np.linalg.norm(residual_array(A), axis=(-2, -1))
+    solution = ~(res_norm >= tol)
+    sv = np.linalg.svd(A, compute_uv=False)
+    scale = np.maximum(sv[:, 0], 1.0)
+    decisions = [{RANK_A: triple} for triple in _rank_decisions(sv, tol, 1.0)]
+    rank_a = np.array([got[RANK_A][0] for got in decisions], dtype=int)
+    # summed left to right as Mat3.trace does, so k = tr(A) + 1 is the same
+    trace = A[:, 0, 0] + A[:, 1, 1] + A[:, 2, 2]
+    at_minus_2 = np.abs(trace + 2) <= tol
+
+    # the second ranks, each only on the rows whose branch reads it
+    At = np.swapaxes(A, -1, -2)
+    rows = np.flatnonzero(solution & (rank_a == 1))
+    second = [(RANK_SHIFTED_SYM, rows, 0.5 * (A[rows] + At[rows]) + 0.5 * _I3, scale[rows])]
+    rows = np.flatnonzero(solution & (rank_a == 2) & at_minus_2)
+    second.append((RANK_ATA, rows, At[rows] @ A[rows], scale[rows] ** 2))
+    for name, rows, M, floor in second:
+        found = _rank_decisions(np.linalg.svd(M, compute_uv=False), tol, floor)
+        for row, triple in zip(rows.tolist(), found):
+            decisions[row][name] = triple
+
+    reports = []
+    for norm, ok, t, near_2, got in zip(
+        res_norm.tolist(), solution.tolist(), trace.tolist(), at_minus_2.tolist(), decisions
+    ):
+        if not ok:
+            reports.append(
+                NotASolution(f"matrix equation residual {norm:.3e} exceeds {tol:.3e}")
+            )
+            continue
+        try:
+            tag, invariants = _family_tag(lambda name: got[name][0], t, near_2, exact=False)
+        except Inconclusive as exc:
+            reports.append(exc)
+            continue
+        margins = tuple((name, *got[name][1:]) for name, _ in invariants if name in got)
+        reports.append(ClassificationReport(tag, norm, invariants, margins=margins))
+    return reports
 
 
 def classify(
@@ -453,64 +613,36 @@ def classify(
     The decision tree uses congruence invariants only: rank(A) splits the
     five families except for two ambiguous spots, which are resolved by
     rank(A'A) (trace -2, rank 2) and by rank(sym(A) + I/2) (rank 1).
-    A KFamily tag carries k as a GaussianRational for exact input and as a
-    complex for floating input, on every branch.  Raises :class:`NotASolution` when the residual exceeds ``tol`` and
+    Exact input is decided in exact ``Mat3`` arithmetic: a zero residual
+    and exact ranks, with no margins.  Floating input is the one-row call
+    of :func:`classify_stack`, whose report carries the margin of each
+    rank decision.  A KFamily tag carries k as a GaussianRational for exact
+    input and as a complex for floating input, on every branch.  Raises
+    :class:`NotASolution` when the residual exceeds ``tol`` and
     :class:`Inconclusive` when no branch matches, which cannot happen for
     true solutions.
     """
-    exact = A.kind == EXACT
-    res = residual(A)
-    res_norm = res.frobenius_norm()
-    if exact:
-        if not res.is_zero():
+    if A.kind == EXACT:
+        if not residual(A).is_zero():
             raise NotASolution("matrix equation residual is nonzero")
-    elif res_norm >= tol:
-        raise NotASolution(f"matrix equation residual {res_norm:.3e} exceeds {tol:.3e}")
+        ranks = {
+            RANK_A: A.rank,
+            RANK_SHIFTED_SYM: lambda: _shifted_sym_rank(A, tol),
+            RANK_ATA: lambda: (A.transpose() @ A).rank(),
+        }
+        t = A.trace()
+        tag, invariants = _family_tag(
+            lambda name: ranks[name](), t, t == GaussianRational(-2), exact=True
+        )
+        report = ClassificationReport(tag, 0.0, invariants)
+    else:
+        report = classify_stack(A.to_numpy()[None], tol)[0]
+        if not isinstance(report, ClassificationReport):
+            raise report
 
-    r = _rank_of(A, tol, 1.0)
-    invariants = [("rank(A)", r)]
-
-    tag = None
-    if r == 0:
-        tag = FamilyTag.zero()
-    elif r == 3:
-        tag = FamilyTag.minus_identity()
-    elif r == 1:
-        s = _shifted_sym_rank(A, tol)
-        invariants.append(("rank(sym(A)+I/2)", s))
-        if s == 1:
-            tag = FamilyTag.k_family(GaussianRational(0) if exact else 0j)
-        elif s == 2:
-            tag = FamilyTag.non_sym_rank1()
-    elif r == 2:
-        t = A.trace()  # a KFamily member has k = tr(A) + 1
-        invariants.append(("tr(A)", t))
-        if exact:
-            at_minus_2 = t == GaussianRational(-2)
-        else:
-            at_minus_2 = abs(complex(t) + 2) <= tol
-        if not at_minus_2:
-            tag = FamilyTag.k_family(t + 1)
-        else:
-            ata = A.transpose() @ A
-            ra = _rank_of(ata, tol, _spectral_scale(A) ** 2)
-            invariants.append(("rank(A'A)", ra))
-            if ra == 2:
-                tag = FamilyTag.trace_minus_2()
-            elif ra == 1:
-                tag = FamilyTag.k_family(t + 1)
-    if tag is None:
-        raise Inconclusive(f"no branch matches invariants {invariants}")
-
-    witness = None
     if find_witness:
-        rep = representative(tag).to_floating()
+        rep = representative(report.tag).to_floating()
         verdict = congruence_test(rep, A.to_floating(), budget=budget, seed=seed)
         if verdict.status == "congruent":
-            witness = verdict.witness
-    return ClassificationReport(
-        tag=tag,
-        residual_norm=float(res_norm),
-        invariants_used=tuple(invariants),
-        witness=witness,
-    )
+            report = dataclasses.replace(report, witness=verdict.witness)
+    return report

@@ -112,6 +112,7 @@ def classification_report_to_json(report):
             [name, scalar_to_json(v) if not isinstance(v, int) else v]
             for name, v in report.invariants_used
         ],
+        "margins": [[name, sigma, threshold] for name, sigma, threshold in report.margins],
     }
     if report.tag.k is not None:
         payload["k"] = scalar_to_json(report.tag.k)

@@ -1,13 +1,17 @@
 """Multistart damped Newton root-finding for the matrix equation.
 
-Newton runs on a stack of complex (3,3) arrays, one row per start.  The
-residual map is polynomial, hence holomorphic, so each step solves one 9x9
-complex system per row with the analytic Jacobian; the 18x18 real Jacobian
+Newton runs on a stack of complex (3,3) arrays, one row per start, with
+the residual of ``mateq.residual_array``.  The residual map is
+polynomial, hence holomorphic, so each step solves one 9x9 complex
+system per row with the analytic Jacobian; the 18x18 real Jacobian
 over (real parts, imaginary parts) is a derived view of it.  Every
 operation of the kernel acts on each row alone, so a row's result does not
 depend on the other rows of its batch.  Starts are seeded individually from
 (master seed, start index); results do not depend on evaluation order or
-on how the starts are split into blocks.
+on how the starts are split into blocks.  The converged rows of a block
+are classified together by ``mateq.classify_stack``, the same floating
+classifier as ``mateq.classify``; a ``Mat3`` is built only for each
+row's final point.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 
 from . import mateq
 from .linalg import Mat3
+from .mateq import residual_array
 
 __all__ = [
     "SolveResult",
@@ -74,18 +79,9 @@ _I3 = np.eye(3)
 _I9 = np.eye(9)
 
 
-def _residual(A: np.ndarray) -> np.ndarray:
-    """A'((tr A + 1) I - A) - A* on a complex (3,3) array or a stack of them,
-    with the Cayley-Hamilton adjugate A* = A^2 - tr(A) A + ((tr A)^2 - tr(A^2))/2 I."""
-    t = np.trace(A, axis1=-2, axis2=-1)[..., None, None]
-    A2 = A @ A
-    c1 = (t * t - np.trace(A2, axis1=-2, axis2=-1)[..., None, None]) / 2
-    return np.swapaxes(A, -1, -2) @ ((t + 1) * _I3 - A) - (A2 - t * A + c1 * _I3)
-
-
 def _jacobian(A: np.ndarray) -> np.ndarray:
-    """9x9 complex Jacobians of :func:`_residual` at the rows of a complex
-    (N,3,3) array, in row-major entry order: shape (N,9,9).
+    """9x9 complex Jacobians of :func:`mateq.residual_array` at the rows of
+    a complex (N,3,3) array, in row-major entry order: shape (N,9,9).
 
     The derivative in direction E is
     E'M + tr(E)(A' + A - tI) - A'E - EA - AE + tE + tr(AE) I
@@ -141,7 +137,7 @@ def _newton_step(A: np.ndarray, F: np.ndarray, norm: np.ndarray):
     lam = 1.0
     while lam >= MIN_DAMPING and pending.size:
         A_try = A[pending] + lam * step[pending]
-        F_try = _residual(A_try)
+        F_try = residual_array(A_try)
         n_try = np.linalg.norm(F_try, axis=(-2, -1))
         better = n_try < norm[pending]
         rows = pending[better]
@@ -165,7 +161,7 @@ def _newton(A0: np.ndarray, max_iter: int, tol: float):
     the arrays (A, norm, iterations, regularised steps, stalled).
     """
     A = np.array(A0, dtype=complex)
-    F = _residual(A)
+    F = residual_array(A)
     norm = np.linalg.norm(F, axis=(-2, -1))
     iterations = np.zeros(len(A), dtype=int)
     regularised = np.zeros(len(A), dtype=int)
@@ -204,34 +200,31 @@ def _solve_rows(
     classify_tol: float = mateq.DEFAULT_CLASSIFY_TOL,
 ) -> list[SolveResult]:
     """One :class:`SolveResult` per row of a complex (N,3,3) array of starts;
-    each converged point is classified."""
+    the converged rows are classified together by :func:`mateq.classify_stack`,
+    and a row that fails to classify gets no classification."""
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     A, norm, iterations, regularised, stalled = _newton(A0, max_iter, tol)
-    results = []
-    for row in range(len(A)):
-        A_final = Mat3.from_numpy(A[row])
-        converged = bool(norm[row] < tol)
-        classification = None
-        if converged:
-            try:
-                classification = mateq.classify(A_final, tol=classify_tol)
-            except (mateq.NotASolution, mateq.Inconclusive):
-                classification = None
-        results.append(
-            SolveResult(
-                A_final=A_final,
-                residual_norm=float(norm[row]),
-                iterations=int(iterations[row]),
-                converged=converged,
-                regularised_steps=int(regularised[row]),
-                stalled=bool(stalled[row]),
-                classification=classification,
-            )
+    converged = norm < tol
+    classifications = [None] * len(A)
+    rows = np.flatnonzero(converged)
+    for row, report in zip(rows.tolist(), mateq.classify_stack(A[rows], classify_tol)):
+        if isinstance(report, mateq.ClassificationReport):
+            classifications[row] = report
+    return [
+        SolveResult(
+            A_final=Mat3.from_numpy(A[row]),
+            residual_norm=float(norm[row]),
+            iterations=int(iterations[row]),
+            converged=bool(converged[row]),
+            regularised_steps=int(regularised[row]),
+            stalled=bool(stalled[row]),
+            classification=classifications[row],
         )
-    return results
+        for row in range(len(A))
+    ]
 
 
 def newton_solve(

@@ -354,3 +354,44 @@ def converged_points():
 
     starts = solver._seeded_starts(20260810, range(500), 2.0)
     return [result for result in solver._solve_rows(starts) if result.converged]
+
+
+def reference_classify_floating(A: Mat3, tol: float = mateq.DEFAULT_CLASSIFY_TOL):
+    """Floating ``classify`` before the stacked classifier: cofactor Mat3
+    residual, then one Mat3 rank at a time down the decision tree.  Returns
+    the report without margins, and raises NotASolution and Inconclusive
+    with the classifier's messages."""
+    res_norm = mateq.residual(A).frobenius_norm()
+    if res_norm >= tol:
+        raise mateq.NotASolution(f"matrix equation residual {res_norm:.3e} exceeds {tol:.3e}")
+    scale = max(float(np.linalg.norm(A.to_numpy(), 2)), 1.0)
+    r = A.rank(tol, 1.0)
+    invariants = [("rank(A)", r)]
+    tag = None
+    if r == 0:
+        tag = mateq.FamilyTag.zero()
+    elif r == 3:
+        tag = mateq.FamilyTag.minus_identity()
+    elif r == 1:
+        shifted = A.sym_part() + Mat3.identity(exact=False).scale(0.5)
+        s = shifted.rank(tol, scale)
+        invariants.append(("rank(sym(A)+I/2)", s))
+        if s == 1:
+            tag = mateq.FamilyTag.k_family(0j)
+        elif s == 2:
+            tag = mateq.FamilyTag.non_sym_rank1()
+    elif r == 2:
+        t = A.trace()
+        invariants.append(("tr(A)", t))
+        if abs(complex(t) + 2) > tol:
+            tag = mateq.FamilyTag.k_family(t + 1)
+        else:
+            ra = (A.transpose() @ A).rank(tol, scale**2)
+            invariants.append(("rank(A'A)", ra))
+            if ra == 2:
+                tag = mateq.FamilyTag.trace_minus_2()
+            elif ra == 1:
+                tag = mateq.FamilyTag.k_family(t + 1)
+    if tag is None:
+        raise mateq.Inconclusive(f"no branch matches invariants {invariants}")
+    return mateq.ClassificationReport(tag, float(res_norm), tuple(invariants))

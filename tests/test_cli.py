@@ -74,6 +74,21 @@ class TestClassify:
         assert code == 0
         assert doc["payload"]["residual_norm"] == 0.0
 
+    def test_floating_reports_margins(self, capsys, tmp_path):
+        A = representative(FamilyTag.k_family(1e-7 + 0j))
+        path = write_matrix(tmp_path, "m.json", A)
+        code, doc = run(capsys, "classify", path)
+        assert code == 0
+        margins = doc["payload"]["margins"]
+        assert [m[0] for m in margins] == ["rank(A)", "rank(sym(A)+I/2)"]
+        name, sigma, threshold = margins[0]
+        assert sigma / threshold == pytest.approx(0.1, rel=1e-6)
+
+    def test_exact_reports_no_margins(self, capsys, tmp_path):
+        path = write_matrix(tmp_path, "m.json", representative(FamilyTag.k_family(5)))
+        code, doc = run(capsys, "classify", path)
+        assert doc["payload"]["margins"] == []
+
     def test_bad_json_is_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -24,6 +24,7 @@ from conftest import (
     reference_adjugate,
     reference_char_poly,
     reference_det,
+    reference_matmul,
     reference_rank,
     reference_residual,
 )
@@ -251,6 +252,30 @@ class TestMat3AgainstReference:
         assert all(_agrees(c, r) for c, r in zip(A.char_poly(), reference_char_poly(rows)))
         assert _mat_agrees(residual(A), reference_residual(rows))
         assert A.rank() == reference_rank(rows)
+
+
+class TestMatmul:
+    @given(reference_matrices(), reference_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_against_reference(self, a, b):
+        assert _mat_agrees(_as_mat3(a) @ _as_mat3(b), reference_matmul(a, b))
+
+    def test_floating_entries_are_sums_from_zero(self):
+        # a floating entry is ((0j + p0) + p1) + p2, signed zeros included
+        rng = np.random.default_rng(3)
+        values = np.array([0.0, -0.0, 1.5, -0.25])
+        for _ in range(50):
+            a, b = (
+                rng.choice(values, (3, 3)) + 1j * rng.choice(values, (3, 3))
+                for _ in range(2)
+            )
+            A, B = Mat3.from_numpy(a), Mat3.from_numpy(b)
+            want = [
+                [sum((A[i, k] * B[k, j] for k in range(3)), 0j) for j in range(3)]
+                for i in range(3)
+            ]
+            got = (A @ B).rows
+            assert repr(got) == repr(tuple(tuple(r) for r in want))
 
 
 # -- basic matrix operations -----------------------------------------------

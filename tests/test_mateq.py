@@ -25,7 +25,14 @@ from postlie_sl2.symcanon import (
     form,
 )
 
-from conftest import exact_congruate, gr, half, ihalf, sampled_tags
+from conftest import (
+    exact_congruate,
+    gr,
+    half,
+    ihalf,
+    reference_classify_floating,
+    sampled_tags,
+)
 
 
 class TestResidual:
@@ -279,6 +286,107 @@ class TestClassify:
         assert classify(A).tag == FamilyTag.zero()
 
 
+@pytest.fixture(scope="module")
+def survey_points():
+    """Converged Newton points, stacked: from the starts of ``survey_500``
+    and of two radius-5 surveys."""
+    from postlie_sl2 import solver
+
+    stacks = []
+    for seed, radius in ((20260810, 2.0), (7, 5.0), (31, 5.0)):
+        starts = solver._seeded_starts(seed, range(500), radius)
+        A, norm, *_ = solver._newton(starts, solver.DEFAULT_MAX_ITER, solver.DEFAULT_NEWTON_TOL)
+        stacks.append(A[norm < solver.DEFAULT_NEWTON_TOL])
+    return np.concatenate(stacks)
+
+
+class TestClassifyStack:
+    """The stacked floating classifier against the one-matrix Mat3
+    classifier it replaced (``reference_classify_floating``)."""
+
+    def test_matches_reference_on_survey_points(self, survey_points):
+        kinds = set()
+        for A, got in zip(survey_points, mateq.classify_stack(survey_points)):
+            want = reference_classify_floating(Mat3.from_numpy(A))
+            assert got.tag.kind == want.tag.kind
+            assert got.tag.k == want.tag.k
+            assert got.invariants_used == want.invariants_used
+            # the Cayley-Hamilton and the cofactor residual round differently
+            n = np.linalg.norm(A, 2)
+            assert abs(got.residual_norm - want.residual_norm) <= 1e-12 * (n * n + n + 1)
+            kinds.add(got.tag.kind)
+        assert kinds == set(FamilyKind)
+
+    def test_row_report_alone_in_prefix_and_in_batch(self, survey_points):
+        full = mateq.classify_stack(survey_points)
+        assert mateq.classify_stack(survey_points[:37]) == full[:37]
+        for A, report in zip(survey_points, full):
+            assert mateq.classify_stack(A[None]) == [report]
+            assert classify(Mat3.from_numpy(A)) == report
+
+    def test_non_solution_rows_in_a_batch(self, survey_points):
+        rng = np.random.default_rng(5)
+        kfamily = next(
+            A for A, r in zip(survey_points, mateq.classify_stack(survey_points))
+            if r.tag.kind == FamilyKind.K_FAMILY
+        )
+        bad = [
+            np.eye(3, dtype=complex),
+            rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+            (1 + 1e-3) * kfamily,
+        ]
+        mixed = np.stack([A for pair in zip(bad, survey_points) for A in pair])
+        reports = mateq.classify_stack(mixed)
+        failed = 0
+        for A, got in zip(mixed, reports):
+            try:
+                want = classify(Mat3.from_numpy(A))
+            except NotASolution as exc:
+                failed += 1
+                assert type(got) is NotASolution
+                assert str(got) == str(exc)
+            else:
+                assert got == want
+        assert failed == len(bad)
+
+    def test_empty_stack(self):
+        assert mateq.classify_stack(np.zeros((0, 3, 3), dtype=complex)) == []
+
+
+class TestMargins:
+    def test_near_boundary_k_shows_its_margin(self):
+        # rank(A) = 1 from sigma = 1e-7, ten times below the threshold
+        report = classify(representative(FamilyTag.k_family(1e-7 + 0j)))
+        name, sigma, threshold = report.margins[0]
+        assert name == "rank(A)"
+        assert sigma / threshold == pytest.approx(0.1, rel=1e-6)
+
+    def test_one_margin_per_rank_decision(self):
+        for seed, (_, tag) in enumerate(oracle_cases()):
+            A = congruate(representative(tag).to_floating(), so3c.random_so3(60 + seed).matrix)
+            report = classify(A)
+            ranks = [name for name, _ in report.invariants_used if name.startswith("rank(")]
+            assert [m[0] for m in report.margins] == ranks
+            # each threshold is tol * max(sigma_max, floor), the floor carrying
+            # the scale max(||A||_2, 1) at the degree of the derived matrix
+            M = A.to_numpy()
+            scale = max(np.linalg.norm(M, 2), 1.0)
+            derived = {
+                "rank(A)": (M, 1.0),
+                "rank(sym(A)+I/2)": ((M + M.T) / 2 + np.eye(3) / 2, scale),
+                "rank(A'A)": (M.T @ M, scale**2),
+            }
+            for name, sigma, threshold in report.margins:
+                D, floor = derived[name]
+                sv = np.linalg.svd(D, compute_uv=False)
+                assert threshold == pytest.approx(1e-6 * max(sv[0], floor), rel=1e-12)
+                assert np.abs(sv - sigma).min() <= 1e-12 * sv[0]
+
+    def test_exact_input_has_no_margins(self):
+        for _, tag in oracle_cases():
+            assert classify(representative(tag)).margins == ()
+
+
 class TestCongruenceTest:
     def test_reflexive(self):
         A = representative(FamilyTag.non_sym_rank1())
@@ -432,6 +540,30 @@ class TestNullitySeparation:
         v = find_orthogonal_similarity(A, B, seed=1)
         assert v.status == "not_congruent"
         assert v.separating_invariant == self.PREFIX + "(5, 6, 9)"
+
+    def test_separated_after_the_first_failed_start(self, monkeypatch):
+        polar = mateq._orthogonal_polar_factor
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return polar(*args, **kwargs)
+
+        monkeypatch.setattr(mateq, "_orthogonal_polar_factor", counting)
+        pairs = [
+            (
+                canonical_matrix(form(FormKind.RANK2_BLOCK, 1.5 + 0j)),
+                canonical_matrix(form(FormKind.RANK2_DIAG, 1.5 + 0j, 1.5 + 0j)),
+            ),
+            (
+                canonical_matrix(form(FormKind.RANK3_ONE_BLOCK, 2 + 0j, 2 + 0j)),
+                Mat3.diag(2 + 0j, 2 + 0j, 2 + 0j),
+            ),
+        ]
+        for A, B in pairs:
+            calls.clear()
+            assert find_orthogonal_similarity(A, B, seed=1).status == "not_congruent"
+            assert len(calls) <= 1
 
     def test_congruent_pairs_are_never_separated(self):
         # with no search budget every pair falls through to the check

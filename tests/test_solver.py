@@ -69,7 +69,7 @@ class TestArrayResidual:
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         A *= 10.0 ** rng.uniform(-3, 3) / np.linalg.norm(A)
         want = residual(Mat3.from_numpy(A)).to_numpy()
-        got = solver._residual(A)
+        got = mateq.residual_array(A)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
