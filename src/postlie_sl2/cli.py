@@ -114,7 +114,10 @@ def verify_canon(corrupt: dict | None = None):
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def cmd_verify_canon(args):

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "GaussianRational",

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import so3c
+from ._numpy import np
 from .linalg import EXACT, GaussianRational, Mat3
 
 __all__ = [
@@ -169,9 +168,6 @@ def residual(A: Mat3) -> Mat3:
     return A.transpose() @ (I.scale(s) - A) - A.adjugate()
 
 
-_I3 = np.eye(3)
-
-
 def residual_array(A: np.ndarray) -> np.ndarray:
     """:func:`residual` on a complex (3,3) array or a stack of them, with the
     Cayley-Hamilton adjugate A* = A^2 - tr(A) A + ((tr A)^2 - tr(A^2))/2 I.
@@ -179,10 +175,11 @@ def residual_array(A: np.ndarray) -> np.ndarray:
     Each matrix of a stack is computed on its own; the result agrees with
     the cofactor adjugate of :func:`residual` up to rounding.
     """
+    I = np.eye(3)
     t = np.trace(A, axis1=-2, axis2=-1)[..., None, None]
     A2 = A @ A
     c1 = (t * t - np.trace(A2, axis1=-2, axis2=-1)[..., None, None]) / 2
-    return np.swapaxes(A, -1, -2) @ ((t + 1) * _I3 - A) - (A2 - t * A + c1 * _I3)
+    return np.swapaxes(A, -1, -2) @ ((t + 1) * I - A) - (A2 - t * A + c1 * I)
 
 
 def is_solution(A: Mat3, tol: float = DEFAULT_SOLUTION_TOL) -> bool:
@@ -280,23 +277,25 @@ def _spectral_scale(A: Mat3) -> float:
     return max(float(np.linalg.norm(A.to_numpy(), 2)), 1.0)
 
 
-def _rank_of(M: Mat3, tol: float, floor: float) -> int:
+def _rank_of(M: Mat3, tol: float, scaled_by: Mat3 | None = None, power: int = 1) -> int:
     """Exact rank for exact matrices, scale-floored floating rank otherwise.
 
-    The floor keeps ranks of derived matrices (A'A, sym(A) + I/2, and
-    near-zero solutions) meaningful when they are mathematically zero but
-    numerically noise; a bare relative threshold would count noise as full
-    rank.
+    The floor is ``_spectral_scale(scaled_by) ** power``, or 1 without
+    ``scaled_by``, and is computed only for a floating ``M``.  It keeps
+    ranks of derived matrices (A'A, sym(A) + I/2, and near-zero solutions)
+    meaningful when they are mathematically zero but numerically noise; a
+    bare relative threshold would count noise as full rank.
     """
     if M.kind == EXACT:
         return M.rank()
+    floor = 1.0 if scaled_by is None else _spectral_scale(scaled_by) ** power
     return M.rank(tol, floor)
 
 
 def _shifted_sym_rank(A: Mat3, tol: float) -> int:
     half = GaussianRational(Fraction(1, 2)) if A.kind == EXACT else 0.5
     shifted = A.sym_part() + Mat3.identity_like(A).scale(half)
-    return _rank_of(shifted, tol, _spectral_scale(A))
+    return _rank_of(shifted, tol, A)
 
 
 def _char_poly_mismatch(pa, pb, tol: float, exact: bool) -> bool:
@@ -315,14 +314,12 @@ def invariant_prefilter(A: Mat3, B: Mat3, tol: float) -> str | None:
     preserved.
     """
     exact = A.kind == EXACT and B.kind == EXACT
-    if _rank_of(A, tol, 1.0) != _rank_of(B, tol, 1.0):
+    if _rank_of(A, tol) != _rank_of(B, tol):
         return "rank(A)"
     ata = A.transpose() @ A
     btb = B.transpose() @ B
     # A'A is quadratic in A, so its rank threshold is floored at scale(A)^2
-    if _rank_of(ata, tol, _spectral_scale(A) ** 2) != _rank_of(
-        btb, tol, _spectral_scale(B) ** 2
-    ):
+    if _rank_of(ata, tol, A, 2) != _rank_of(btb, tol, B, 2):
         return "rank(A'A)"
     # rank(sym(A) + I/2) separates pairs the listed invariants cannot, e.g.
     # the two rank-1 families, which share all characteristic polynomials
@@ -460,8 +457,10 @@ def congruence_test(
     at once, and otherwise the search goes on.  When no start gives a
     witness and the dimensions do not separate, the verdict is
     ``unknown``.  Witnesses satisfy T'T = I, det T = 1 and T' A T = B to
-    ``tol``.
+    ``tol``.  Raises ``ValueError`` for a negative ``budget``.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     sep = invariant_prefilter(A, B, tol)
     if sep is not None:
         return CongruenceVerdict.not_congruent(sep)
@@ -574,7 +573,7 @@ def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
     # the second ranks, each only on the rows whose branch reads it
     At = np.swapaxes(A, -1, -2)
     rows = np.flatnonzero(solution & (rank_a == 1))
-    second = [(RANK_SHIFTED_SYM, rows, 0.5 * (A[rows] + At[rows]) + 0.5 * _I3, scale[rows])]
+    second = [(RANK_SHIFTED_SYM, rows, 0.5 * (A[rows] + At[rows]) + 0.5 * np.eye(3), scale[rows])]
     rows = np.flatnonzero(solution & (rank_a == 2) & at_minus_2)
     second.append((RANK_ATA, rows, At[rows] @ A[rows], scale[rows] ** 2))
     for name, rows, M, floor in second:

@@ -37,17 +37,27 @@ def scalar_to_json(x):
     return [z.real, z.imag]
 
 
+def _is_number(x) -> bool:
+    # a JSON boolean decodes to a bool, which is an int but no number here
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def scalar_from_json(obj):
     if isinstance(obj, dict):
         try:
             return GaussianRational(str(obj["re"]), str(obj["im"]))
         except (KeyError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad exact scalar {obj!r}") from exc
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    raise ValueError(f"bad scalar encoding {obj!r}")
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_number, obj)):
+        re, im = obj
+    elif _is_number(obj):
+        re, im = obj, 0
+    else:
+        raise ValueError(f"bad scalar encoding {obj!r}")
+    try:
+        return complex(float(re), float(im))
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"scalar {obj!r} exceeds the floating range") from exc
 
 
 def matrix_to_json(M):

@@ -12,8 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .linalg import EXACT, GaussianRational, Mat2, Mat3
 from .sl2 import basis_2x2, coords_from_2x2
 

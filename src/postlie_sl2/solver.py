@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import mateq
+from ._numpy import np
 from .linalg import Mat3
 from .mateq import residual_array
 
@@ -75,10 +74,6 @@ class SurveyReport:
     stalls: int
 
 
-_I3 = np.eye(3)
-_I9 = np.eye(9)
-
-
 def _jacobian(A: np.ndarray) -> np.ndarray:
     """9x9 complex Jacobians of :func:`mateq.residual_array` at the rows of
     a complex (N,3,3) array, in row-major entry order: shape (N,9,9).
@@ -89,11 +84,11 @@ def _jacobian(A: np.ndarray) -> np.ndarray:
     ((i,j), (p,q)) is d_iq M_pj + d_pq S_ij - d_jq S_ip - d_ip A_qj + d_ij A_qp,
     each term one broadcast over the axes (row, i, j, p, q).
     """
+    d = np.eye(3)
     t = np.trace(A, axis1=-2, axis2=-1)[:, None, None]
     At = np.swapaxes(A, -1, -2)
-    M = (t + 1) * _I3 - A
-    S = At + A - t * _I3
-    d = _I3
+    M = (t + 1) * d - A
+    S = At + A - t * d
     J = (
         np.swapaxes(M, -1, -2)[:, None, :, :, None] * d[:, None, None, :]
         + S[:, :, :, None, None] * d
@@ -127,7 +122,7 @@ def _newton_step(A: np.ndarray, F: np.ndarray, norm: np.ndarray):
     step[plain] = np.linalg.solve(J[plain], -f[plain])
     Js = J[regularised]
     JH = np.swapaxes(Js.conj(), -1, -2)
-    step[regularised] = np.linalg.solve(JH @ Js + TIKHONOV_SHIFT * _I9, -JH @ f[regularised])
+    step[regularised] = np.linalg.solve(JH @ Js + TIKHONOV_SHIFT * np.eye(9), -JH @ f[regularised])
     step = step.reshape(n, 3, 3)
 
     # halving line search per row: each row takes the first damping that
@@ -149,9 +144,6 @@ def _newton_step(A: np.ndarray, F: np.ndarray, norm: np.ndarray):
     return A, F, norm, accepted, regularised
 
 
-# a start far out overflows its residual norm to inf; the row then fails
-# to converge and is counted, so the overflow is no error
-@np.errstate(over="ignore", invalid="ignore")
 def _newton(A0: np.ndarray, max_iter: int, tol: float):
     """Damped Newton from every row of a complex (N,3,3) array.
 
@@ -160,37 +152,40 @@ def _newton(A0: np.ndarray, max_iter: int, tol: float):
     up to POLISH_STEPS further steps while they lower its norm.  Returns
     the arrays (A, norm, iterations, regularised steps, stalled).
     """
-    A = np.array(A0, dtype=complex)
-    F = residual_array(A)
-    norm = np.linalg.norm(F, axis=(-2, -1))
-    iterations = np.zeros(len(A), dtype=int)
-    regularised = np.zeros(len(A), dtype=int)
-    stalled = np.zeros(len(A), dtype=bool)
-    for _ in range(max_iter):
-        rows = np.flatnonzero(~(norm < tol) & ~stalled)
-        if rows.size == 0:
-            break
-        A[rows], F[rows], norm[rows], accepted, reg = _newton_step(
-            A[rows], F[rows], norm[rows]
-        )
-        iterations[rows] += 1
-        regularised[rows] += reg
-        stalled[rows[~accepted]] = True
+    # a start far out overflows its residual norm to inf; the row then
+    # fails to converge and is counted, so the overflow is no error
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = np.array(A0, dtype=complex)
+        F = residual_array(A)
+        norm = np.linalg.norm(F, axis=(-2, -1))
+        iterations = np.zeros(len(A), dtype=int)
+        regularised = np.zeros(len(A), dtype=int)
+        stalled = np.zeros(len(A), dtype=bool)
+        for _ in range(max_iter):
+            rows = np.flatnonzero(~(norm < tol) & ~stalled)
+            if rows.size == 0:
+                break
+            A[rows], F[rows], norm[rows], accepted, reg = _newton_step(
+                A[rows], F[rows], norm[rows]
+            )
+            iterations[rows] += 1
+            regularised[rows] += reg
+            stalled[rows[~accepted]] = True
 
-    # polish: the structural identities of a root are only as tight as the
-    # final residual, so drive it to the floor while steps keep paying
-    polishing = norm < tol
-    for _ in range(POLISH_STEPS):
-        rows = np.flatnonzero(polishing & (norm != 0.0))
-        if rows.size == 0:
-            break
-        A[rows], F[rows], norm[rows], accepted, reg = _newton_step(
-            A[rows], F[rows], norm[rows]
-        )
-        iterations[rows[accepted]] += 1
-        regularised[rows] += reg
-        polishing[rows[~accepted]] = False
-    return A, norm, iterations, regularised, stalled
+        # polish: the structural identities of a root are only as tight as
+        # the final residual, so drive it to the floor while steps keep paying
+        polishing = norm < tol
+        for _ in range(POLISH_STEPS):
+            rows = np.flatnonzero(polishing & (norm != 0.0))
+            if rows.size == 0:
+                break
+            A[rows], F[rows], norm[rows], accepted, reg = _newton_step(
+                A[rows], F[rows], norm[rows]
+            )
+            iterations[rows[accepted]] += 1
+            regularised[rows] += reg
+            polishing[rows[~accepted]] = False
+        return A, norm, iterations, regularised, stalled
 
 
 def _solve_rows(

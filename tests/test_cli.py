@@ -250,6 +250,14 @@ class TestOrbitTest:
             main(["orbit-test", a, a])
         assert exc.value.code == 2
 
+    def test_negative_budget_is_error(self, capsys, tmp_path):
+        a = write_matrix(tmp_path, "a.json", Mat3.diag(2, 1, 1))
+        b = write_matrix(tmp_path, "b.json", Mat3.diag(1, 2, 1))
+        code, doc = run(capsys, "orbit-test", a, b, "--seed", "1", "--budget", "-5")
+        assert (code, doc["status"]) == (2, "error")
+        code, doc = run(capsys, "orbit-test", a, b, "--seed", "1", "--budget", "0")
+        assert code == 0
+
 
 class TestSearch:
     def test_small_survey(self, capsys):
@@ -340,6 +348,20 @@ class TestRoundTrips:
         M = Mat3.from_numpy(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         reparsed = serialize.mat3_from_json(json.loads(json.dumps(serialize.matrix_to_json(M))))
         assert reparsed == M
+
+    @pytest.mark.parametrize("obj", [True, False, [True, 0], [0.5, False], ["1", 0]])
+    def test_non_numbers_are_no_floating_scalars(self, obj):
+        with pytest.raises(ValueError, match="bad scalar"):
+            serialize.scalar_from_json(obj)
+
+    def test_numbers_are_floating_scalars(self):
+        assert serialize.scalar_from_json(2) == 2 + 0j
+        assert serialize.scalar_from_json([0.5, -1]) == 0.5 - 1j
+
+    @pytest.mark.parametrize("obj", [10**400, [0, -(10**400)]])
+    def test_integers_beyond_the_float_range_are_errors(self, obj):
+        with pytest.raises(ValueError, match="floating range"):
+            serialize.scalar_from_json(obj)
 
     def test_structure_constants_round_trip(self):
         from postlie_sl2.sl2 import LIE_BRACKET

@@ -430,6 +430,26 @@ class TestCongruenceTest:
         v2 = congruence_test(A, B, budget=16, seed=99)
         assert v1 == v2
 
+    def test_negative_budget_is_error(self):
+        A = representative(FamilyTag.non_sym_rank1())
+        with pytest.raises(ValueError, match="budget"):
+            congruence_test(A, A, budget=-1)
+        with pytest.raises(ValueError, match="budget"):
+            classify(A, find_witness=True, budget=-5)
+
+    def test_exact_prefilter_needs_no_spectral_scale(self, monkeypatch):
+        # exact ranks ignore the floor, so exact input never computes it
+        def fail(A):
+            raise AssertionError("spectral scale of an exact matrix")
+
+        monkeypatch.setattr(mateq, "_spectral_scale", fail)
+        tags = [tag for _, tag in oracle_cases()]
+        for s in tags:
+            assert classify(representative(s)).tag == s
+            for t in tags:
+                verdict = mateq.invariant_prefilter(representative(s), representative(t), 1e-8)
+                assert (verdict is None) == (s == t), (s, t, verdict)
+
 
 def _assert_witness(W: Mat3, A: np.ndarray, B: np.ndarray):
     T = W.to_numpy()
