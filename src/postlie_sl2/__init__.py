@@ -20,7 +20,6 @@ from .mateq import (
     classify,
     congruate,
     congruence_test,
-    invariant_prefilter,
     is_solution,
     representative,
     residual,

@@ -3,8 +3,9 @@
 Every command prints a single JSON document
 ``{"command": ..., "status": ..., "payload": ...}`` on stdout and uses the
 exit code contract 0 = ok, 1 = violation (a mathematical check failed),
-2 = error (bad input or IO).  Diagnostics go to stderr.  Randomized
-commands require an explicit ``--seed``.
+2 = error (bad input or IO, a malformed command line included; only
+``--help`` prints usage, with exit code 0).  Diagnostics go to stderr.
+Randomized commands require an explicit ``--seed``.
 """
 
 from __future__ import annotations
@@ -46,14 +47,17 @@ def verify_canon(corrupt: dict | None = None):
 
     Checks, per family representative: exactly zero residual, empty
     PostLie and Rota-Baxter violation lists; then pairwise non-congruence
-    through the invariant prefilter.  ``corrupt`` is a test-only hook
+    from exact ``classify`` tags: a pair is distinguished when both
+    matrices classify and their tags differ.  That is sound because the
+    tag is read off congruence invariants only (rank(A), rank(A'A),
+    rank(sym(A) + I/2) and tr(A)).  ``corrupt`` is a test-only hook
     mapping a family-kind name to a replacement matrix.
     """
     corrupt = corrupt or {}
     tags = _verify_tags()
     entries = []
     ok = True
-    matrices = []
+    classified = []
     for tag in tags:
         A = mateq.representative(tag)
         if tag.kind.value in corrupt:
@@ -84,22 +88,22 @@ def verify_canon(corrupt: dict | None = None):
             ok = False
             entry["failed"] = failed
         entries.append(entry)
-        matrices.append((tag, A))
+        try:
+            found = mateq.classify(A).tag
+        except (mateq.NotASolution, mateq.Inconclusive):
+            found = None
+        classified.append((tag, found))
 
     pairs_checked = 0
     pairwise_ok = True
     separations = []
-    for i in range(len(matrices)):
-        for j in range(i + 1, len(matrices)):
-            verdict = mateq.invariant_prefilter(matrices[i][1], matrices[j][1], 1e-8)
+    for i, (tag_a, found_a) in enumerate(classified):
+        for tag_b, found_b in classified[i + 1:]:
             pairs_checked += 1
-            if verdict is None:
+            if found_a is None or found_b is None or found_a == found_b:
                 pairwise_ok = False
                 separations.append(
-                    {
-                        "pair": [matrices[i][0].kind.value, matrices[j][0].kind.value],
-                        "separating_invariant": None,
-                    }
+                    {"pair": [tag_a.kind.value, tag_b.kind.value], "separating_invariant": None}
                 )
     ok = ok and pairwise_ok
     payload = {
@@ -164,15 +168,14 @@ def cmd_search(args):
 
 
 def cmd_random_so3(args):
-    sample = so3c.random_so3(args.seed)
-    T = sample.matrix
+    T = so3c.random_so3(args.seed)
     gram_defect = (T.transpose() @ T - Mat3.identity(exact=False)).frobenius_norm()
     det_defect = abs(complex(T.det()) - 1)
     return OK, {
         "matrix": serialize.matrix_to_json(T),
         "orthogonality_residual": gram_defect,
         "det_residual": det_defect,
-        "verified_tol": sample.tol,
+        "verified_tol": so3c.MEMBERSHIP_TOL,
     }
 
 
@@ -191,8 +194,19 @@ def cmd_adjoint_rep(args):
     }
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # raise instead of printing usage and exiting, so that a bad command
+    # line still gives one JSON document; --help still exits 0
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="postlie-sl2",
         description="Verify, classify and search solutions of the 3x3 matrix "
         "equation behind PostLie structures on sl(2,C).",
@@ -241,14 +255,15 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _HANDLERS else None
     try:
-        code, payload = _HANDLERS[args.command](args)
-    except (OSError, json.JSONDecodeError, ValueError, so3c.Singular) as exc:
+        args = _build_parser().parse_args(argv)
+        code, payload = _HANDLERS[command](args)
+    except (_UsageError, OSError, json.JSONDecodeError, ValueError, so3c.Singular) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code, payload = ERROR, {"message": str(exc)}
-    report = {"command": args.command, "status": _STATUS[code], "payload": payload}
+    report = {"command": command, "status": _STATUS[code], "payload": payload}
     print(json.dumps(report))
     return code
 

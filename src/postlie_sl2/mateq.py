@@ -3,14 +3,15 @@
 Provides the residual of the equation, on a ``Mat3`` (exact or floating)
 and on a stack of complex (3,3) arrays; the five canonical solution
 families; the SO(3,C) congruence action; a congruence decision procedure
-(invariant prefilter, then a witness built as the orthogonal polar factor
-of a simultaneous similarity of (A, A') and (B, B'), with a comparison of
-nullspace dimensions once a start has failed); and the classifier that
-maps a solution to its family.  The classifier has one decision tree from
-invariants to a family.  Exact input reaches it through exact ``Mat3``
-arithmetic; floating input, one matrix or a whole stack, through one
-stacked pass that computes residuals, traces and ranks with batched SVDs
-and reports how close each rank decision came to its threshold.
+(the nullspace dimensions of the similarity equations for (A, A), (A, B)
+and (B, B) decide non-congruence; otherwise a witness is built as the
+orthogonal polar factor of a simultaneous similarity of (A, A') and
+(B, B')); and the classifier that maps a solution to its family.  The
+classifier has one decision tree from invariants to a family.  Exact
+input reaches it through exact ``Mat3`` arithmetic; floating input, one
+matrix or a whole stack, through one stacked pass that computes
+residuals, traces and ranks with batched SVDs and reports how close each
+rank decision came to its threshold.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "rank1_identity_residual",
     "classify",
     "classify_stack",
-    "invariant_prefilter",
     "congruence_test",
 ]
 
@@ -49,8 +49,6 @@ DEFAULT_SOLUTION_TOL = 1e-9
 DEFAULT_CLASSIFY_TOL = 1e-6
 DEFAULT_WITNESS_TOL = 1e-8
 DEFAULT_BUDGET = 64
-#: a prefilter mismatch must exceed this multiple of the tolerance
-PREFILTER_MARGIN = 10.0
 #: singular values decide a nullspace dimension only when each lies this
 #: factor or more away from the cutoff
 NULLITY_GAP = 1e3
@@ -272,68 +270,9 @@ def congruate(A: Mat3, T: Mat3, tol: float = DEFAULT_WITNESS_TOL) -> Mat3:
 # congruence decision procedure
 
 
-def _spectral_scale(A: Mat3) -> float:
-    """max(largest singular value, 1); the floor for derived-rank thresholds."""
-    return max(float(np.linalg.norm(A.to_numpy(), 2)), 1.0)
-
-
-def _rank_of(M: Mat3, tol: float, scaled_by: Mat3 | None = None, power: int = 1) -> int:
-    """Exact rank for exact matrices, scale-floored floating rank otherwise.
-
-    The floor is ``_spectral_scale(scaled_by) ** power``, or 1 without
-    ``scaled_by``, and is computed only for a floating ``M``.  It keeps
-    ranks of derived matrices (A'A, sym(A) + I/2, and near-zero solutions)
-    meaningful when they are mathematically zero but numerically noise; a
-    bare relative threshold would count noise as full rank.
-    """
-    if M.kind == EXACT:
-        return M.rank()
-    floor = 1.0 if scaled_by is None else _spectral_scale(scaled_by) ** power
-    return M.rank(tol, floor)
-
-
-def _shifted_sym_rank(A: Mat3, tol: float) -> int:
-    half = GaussianRational(Fraction(1, 2)) if A.kind == EXACT else 0.5
-    shifted = A.sym_part() + Mat3.identity_like(A).scale(half)
-    return _rank_of(shifted, tol, A)
-
-
-def _char_poly_mismatch(pa, pb, tol: float, exact: bool) -> bool:
-    if exact:
-        return pa != pb
-    gap = max(abs(complex(a) - complex(b)) for a, b in zip(pa, pb))
-    return gap > PREFILTER_MARGIN * tol
-
-
-def invariant_prefilter(A: Mat3, B: Mat3, tol: float) -> str | None:
-    """Compare congruence invariants; return the name of the first one that
-    separates A from B, or None.
-
-    Congruence by T in SO(3,C) is an orthogonal similarity (T' = T^-1), so
-    ranks and characteristic polynomials of A, A'A and sym(A) are all
-    preserved.
-    """
-    exact = A.kind == EXACT and B.kind == EXACT
-    if _rank_of(A, tol) != _rank_of(B, tol):
-        return "rank(A)"
-    ata = A.transpose() @ A
-    btb = B.transpose() @ B
-    # A'A is quadratic in A, so its rank threshold is floored at scale(A)^2
-    if _rank_of(ata, tol, A, 2) != _rank_of(btb, tol, B, 2):
-        return "rank(A'A)"
-    # rank(sym(A) + I/2) separates pairs the listed invariants cannot, e.g.
-    # the two rank-1 families, which share all characteristic polynomials
-    if _shifted_sym_rank(A, tol) != _shifted_sym_rank(B, tol):
-        return "rank(sym(A)+I/2)"
-    if _char_poly_mismatch(A.char_poly(), B.char_poly(), tol, exact):
-        return "char_poly(A)"
-    if _char_poly_mismatch(ata.char_poly(), btb.char_poly(), tol, exact):
-        return "char_poly(A'A)"
-    if _char_poly_mismatch(
-        A.sym_part().char_poly(), B.sym_part().char_poly(), tol, exact
-    ):
-        return "char_poly(sym(A))"
-    return None
+def _shifted_sym_rank(A: Mat3) -> int:
+    """rank(sym(A) + I/2) of an exact matrix."""
+    return (A.sym_part() + Mat3.identity().scale(GaussianRational(Fraction(1, 2)))).rank()
 
 
 def _nullspace_sylvester(
@@ -381,29 +320,26 @@ def _orthogonal_polar_factor(S: np.ndarray, max_iter: int = 60):
     return X, defect
 
 
-def _verdict_without_witness(
-    Af: np.ndarray, Bf: np.ndarray, attempts: int
-) -> CongruenceVerdict:
-    """``not_congruent`` when nullspace dimensions separate A from B,
-    ``unknown`` otherwise.
+def _separating_nullities(
+    Af: np.ndarray, Bf: np.ndarray
+) -> tuple[list[np.ndarray], str | None]:
+    """The nullspace basis for (A, B), and the separating invariant when the
+    nullspace dimensions for (A, A), (A, B) and (B, B) prove A and B not
+    congruent, else None.
 
-    If (A, A') and (B, B') are simultaneously similar, the spaces
-    {S : X S = S Y, X' S = S Y'} for (X, Y) = (A, A), (A, B) and (B, B)
-    have one dimension (Byrnes and Gauger for a pair of matrices, extended
-    to tuples by Friedland).  Unequal dimensions, each decided with a clear
-    singular-value gap, therefore rule out congruence.
+    The spaces {S : X S = S Y, X' S = S Y'} for (X, Y) = (A, A), (A, B)
+    and (B, B) have one dimension exactly when (A, A') and (B, B') are
+    simultaneously similar (Byrnes and Gauger for a pair of matrices,
+    extended to tuples by Friedland), that is, when A and B are
+    orthogonally similar.  So unequal dimensions, each decided with a
+    clear singular-value gap, rule out congruence.
     """
-    dims = []
-    for X, Y in ((Af, Af), (Af, Bf), (Bf, Bf)):
-        basis, decided = _nullspace_sylvester(X, Y)
-        if not decided:
-            return CongruenceVerdict.unknown(attempts)
-        dims.append(len(basis))
-    if dims[0] == dims[1] == dims[2]:
-        return CongruenceVerdict.unknown(attempts)
-    return CongruenceVerdict.not_congruent(
-        "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = " + str(tuple(dims))
-    )
+    spaces = [_nullspace_sylvester(X, Y) for X, Y in ((Af, Af), (Af, Bf), (Bf, Bf))]
+    dims = tuple(len(basis) for basis, _ in spaces)
+    separating = None
+    if all(decided for _, decided in spaces) and len(set(dims)) > 1:
+        separating = "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = " + str(dims)
+    return spaces[1][0], separating
 
 
 def _witness_from_start(
@@ -442,49 +378,35 @@ def congruence_test(
 ) -> CongruenceVerdict:
     """Decide whether B = T' A T for some T in SO(3,C).
 
-    Stage 1 compares congruence invariants (ranks of A, A'A and
-    sym(A) + I/2, characteristic polynomials of A, A'A and sym(A)) and
-    returns ``not_congruent`` on a mismatch beyond ten times ``tol``
-    (exact mismatches in exact mode).  Stage 2 builds the witness: A and
-    B are orthogonally similar exactly when (A, A') and (B, B') are
-    simultaneously similar, and the orthogonal polar factor of such a
-    similarity S is a witness.  Up to ``budget`` seeded random S from the
-    nullspace of S -> (A S - S B, A' S - S B') go through Newton's polar
-    iteration; a verified witness gives ``congruent``.  Right after the
-    first start that gives no witness, the dimensions of the nullspaces
-    for (A, A), (A, B) and (B, B) are compared once: unequal dimensions,
-    each decided with a clear singular-value gap, give ``not_congruent``
-    at once, and otherwise the search goes on.  When no start gives a
-    witness and the dimensions do not separate, the verdict is
-    ``unknown``.  Witnesses satisfy T'T = I, det T = 1 and T' A T = B to
-    ``tol``.  Raises ``ValueError`` for a negative ``budget``.
+    A and B are orthogonally similar exactly when (A, A') and (B, B') are
+    simultaneously similar, which the dimensions of the nullspaces of
+    S -> (X S - S Y, X' S - S Y') for (X, Y) = (A, A), (A, B) and (B, B)
+    decide: unequal dimensions, each decided with a clear singular-value
+    gap, give ``not_congruent``, naming the three dimensions.  Otherwise
+    the orthogonal polar factor of a similarity S from the (A, B)
+    nullspace is a witness: up to ``budget`` seeded random S go through
+    Newton's polar iteration, and a verified witness gives ``congruent``.
+    When no start gives one, the verdict is ``unknown``.  Witnesses satisfy
+    T'T = I, det T = 1 and T' A T = B to ``tol``.  Raises ``ValueError``
+    for a negative ``budget``.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    sep = invariant_prefilter(A, B, tol)
-    if sep is not None:
-        return CongruenceVerdict.not_congruent(sep)
-
     Af, Bf = A.to_numpy(), B.to_numpy()
     if float(np.linalg.norm(Af - Bf)) <= tol:
         return CongruenceVerdict.congruent(Mat3.identity(exact=False))
 
-    basis, _ = _nullspace_sylvester(Af, Bf)
+    basis, separating = _separating_nullities(Af, Bf)
+    if separating is not None:
+        return CongruenceVerdict.not_congruent(separating)
     if not basis:
-        return _verdict_without_witness(Af, Bf, 0)
-
+        return CongruenceVerdict.unknown(0)
     stack = np.stack(basis)
-    fallback = None
     for start in range(budget):
         S = _witness_from_start(stack, Af, Bf, seed, start, tol)
         if S is not None:
             return CongruenceVerdict.congruent(Mat3.from_numpy(S))
-        if fallback is None:
-            # once a start has failed, a separating nullity ends the search
-            fallback = _verdict_without_witness(Af, Bf, budget)
-            if fallback.status == "not_congruent":
-                return fallback
-    return fallback if fallback is not None else _verdict_without_witness(Af, Bf, budget)
+    return CongruenceVerdict.unknown(budget)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +548,7 @@ def classify(
             raise NotASolution("matrix equation residual is nonzero")
         ranks = {
             RANK_A: A.rank,
-            RANK_SHIFTED_SYM: lambda: _shifted_sym_rank(A, tol),
+            RANK_SHIFTED_SYM: lambda: _shifted_sym_rank(A),
             RANK_ATA: lambda: (A.transpose() @ A).rank(),
         }
         t = A.trace()

@@ -3,13 +3,14 @@
 Membership testing, seeded random sampling through the Cayley transform of
 antisymmetric matrices (with an exact Gaussian-rational variant), the
 adjoint representation of invertible 2x2 matrices, and the test for a 3x3
-matrix to induce a Lie algebra automorphism in the fixed basis.
+matrix to induce a Lie algebra automorphism in the fixed basis.  The
+samplers return plain ``Mat3`` values; a floating draw passes membership at
+``MEMBERSHIP_TOL``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
@@ -17,7 +18,6 @@ from .linalg import EXACT, GaussianRational, Mat2, Mat3
 from .sl2 import basis_2x2, coords_from_2x2
 
 __all__ = [
-    "OrthogonalMatrix",
     "NotOrthogonal",
     "Singular",
     "is_special_orthogonal",
@@ -31,7 +31,8 @@ __all__ = [
 
 _MAX_RESAMPLE = 100
 _DET_GUARD = 1e-6
-_MEMBERSHIP_TOL = 1e-10
+#: the tolerance every ``random_so3`` draw passes membership at
+MEMBERSHIP_TOL = 1e-10
 #: complex orthogonal matrices have unbounded norm; draws above this spectral
 #: norm are rejected so that downstream float error stays ~1e-13 (about 6% of
 #: raw Cayley draws)
@@ -44,14 +45,6 @@ class NotOrthogonal(ValueError):
 
 class Singular(ZeroDivisionError):
     """A 2x2 matrix expected to be invertible has determinant zero."""
-
-
-@dataclass(frozen=True)
-class OrthogonalMatrix:
-    """An SO(3,C) element together with the tolerance it was verified at."""
-
-    matrix: Mat3
-    tol: float
 
 
 def is_special_orthogonal(T: Mat3, tol: float = 1e-8) -> bool:
@@ -74,13 +67,14 @@ def _antisymmetric(a, b, c, exact: bool) -> Mat3:
     return Mat3([[z, a, b], [-a, z, c], [-b, -c, z]])
 
 
-def random_so3(seed: int) -> OrthogonalMatrix:
+def random_so3(seed: int) -> Mat3:
     """Seeded random SO(3,C) element via the Cayley transform.
 
     The three independent entries of the antisymmetric matrix are drawn as
     standard complex normals; draws with |det(I - K)| below 1e-6 or with
     spectral norm above 10 are rejected to keep the transform well
-    conditioned.  The result is verified to pass membership at 1e-10.
+    conditioned.  The result is verified to pass membership at
+    ``MEMBERSHIP_TOL``.
     """
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RESAMPLE):
@@ -92,8 +86,8 @@ def random_so3(seed: int) -> OrthogonalMatrix:
         T = cayley(K)
         if float(np.linalg.norm(T.to_numpy(), 2)) > _NORM_GUARD:
             continue
-        if is_special_orthogonal(T, _MEMBERSHIP_TOL):
-            return OrthogonalMatrix(T, _MEMBERSHIP_TOL)
+        if is_special_orthogonal(T, MEMBERSHIP_TOL):
+            return T
     raise RuntimeError("random_so3 failed to draw a usable antisymmetric matrix")
 
 

@@ -84,7 +84,7 @@ def test_criterion_3_congruence_invariance():
     for tag in sampled_tags():
         A = representative(tag).to_floating()
         for i in range(100):
-            T = so3c.random_so3(2000 + i).matrix
+            T = so3c.random_so3(2000 + i)
             B = mateq.congruate(A, T)
             r = mateq.residual(B).frobenius_norm()
             worst = max(worst, r)
@@ -103,7 +103,7 @@ def test_criterion_4_classifier_separation():
         for tag in (left, right):
             A = representative(tag).to_floating()
             for i in range(50):
-                T = so3c.random_so3(3000 + i).matrix
+                T = so3c.random_so3(3000 + i)
                 got = mateq.classify(mateq.congruate(A, T), tol=1e-6).tag
                 assert got.close_to(tag, 1e-6), (tag, i, got)
     report(4, "200 congruates of the ambiguous pairs, zero misclassifications")
@@ -192,7 +192,7 @@ def test_criterion_7_numerical_rediscovery(survey_500):
 def test_criterion_8_automorphism_lemma():
     """Automorphisms in the fixed basis are exactly the SO(3,C) matrices."""
     for seed in range(200):
-        assert so3c.automorphism_check(so3c.random_so3(seed).matrix)
+        assert so3c.automorphism_check(so3c.random_so3(seed))
 
     rng = np.random.default_rng(777)
     checked = 0
@@ -239,7 +239,7 @@ def test_criterion_9_symmetric_canonical_forms():
     for f in SAMPLE_FORMS:
         M = canonical_matrix(f).to_floating()
         for i in range(50):
-            T = so3c.random_so3(5000 + i).matrix
+            T = so3c.random_so3(5000 + i)
             got = classify_symmetric(mateq.congruate(M, T), tol=1e-6)
             assert got.close_to(f, 1e-4), (f.kind, i, got)
 

@@ -42,6 +42,21 @@ class TestVerifyCanon:
         bad = [f for f in payload["families"] if f["tag"] == "TraceMinus2"]
         assert bad and "matrix-equation" in bad[0]["failed"]
 
+    def test_undistinguished_pairs_are_reported(self):
+        # a corrupted entry that does not classify separates nothing
+        code, payload = verify_canon(corrupt={"Zero": Mat3.identity()})
+        assert code == 1
+        assert payload["pairwise_noncongruent"] is False
+        pairs = payload["undistinguished_pairs"]
+        assert len(pairs) == 8
+        assert all("Zero" in entry["pair"] for entry in pairs)
+        # a duplicated class is not distinguished from itself
+        code, payload = verify_canon(corrupt={"Zero": -Mat3.identity()})
+        assert code == 1
+        assert payload["undistinguished_pairs"] == [
+            {"pair": ["Zero", "MinusIdentity"], "separating_invariant": None}
+        ]
+
 
 class TestClassify:
     def test_minus_identity(self, capsys, tmp_path):
@@ -230,13 +245,15 @@ class TestOrbitTest:
         code, doc = run(capsys, "orbit-test", a, b, "--seed", "3")
         assert code == 0
         assert doc["payload"]["verdict"] == "not_congruent"
-        assert doc["payload"]["separating_invariant"] == "rank(A'A)"
+        assert doc["payload"]["separating_invariant"] == (
+            "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = (2, 2, 3)"
+        )
 
     def test_congruent_pair(self, capsys, tmp_path):
         from postlie_sl2 import so3c
 
         A = representative(FamilyTag.non_sym_rank1()).to_floating()
-        B = mateq.congruate(A, so3c.random_so3(21).matrix)
+        B = mateq.congruate(A, so3c.random_so3(21))
         a = write_matrix(tmp_path, "a.json", A)
         b = write_matrix(tmp_path, "b.json", B)
         code, doc = run(capsys, "orbit-test", a, b, "--seed", "3", "--budget", "32")
@@ -246,9 +263,9 @@ class TestOrbitTest:
 
     def test_seed_required(self, capsys, tmp_path):
         a = write_matrix(tmp_path, "a.json", Mat3.zero())
-        with pytest.raises(SystemExit) as exc:
-            main(["orbit-test", a, a])
-        assert exc.value.code == 2
+        code, doc = run(capsys, "orbit-test", a, a)
+        assert (code, doc["command"], doc["status"]) == (2, "orbit-test", "error")
+        assert "--seed" in doc["payload"]["message"]
 
     def test_negative_budget_is_error(self, capsys, tmp_path):
         a = write_matrix(tmp_path, "a.json", Mat3.diag(2, 1, 1))
@@ -296,10 +313,10 @@ class TestSearch:
         _, doc2 = run(capsys, "search", "--starts", "10", "--seed", "4")
         assert doc1 == doc2
 
-    def test_seed_required(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["search", "--starts", "5"])
-        assert exc.value.code == 2
+    def test_seed_required(self, capsys):
+        code, doc = run(capsys, "search", "--starts", "5")
+        assert (code, doc["command"], doc["status"]) == (2, "search", "error")
+        assert "--seed" in doc["payload"]["message"]
 
 
 class TestRandomSo3:

@@ -108,7 +108,7 @@ class TestCommandsStartWithoutNumpy:
 class TestFloatingCommands:
     def test_classify(self, capsys, tmp_path):
         A = representative(FamilyTag.k_family(1.5 + 0.5j))
-        B = congruate(A, so3c.random_so3(7).matrix)
+        B = congruate(A, so3c.random_so3(7))
         path = write_json(tmp_path, "m.json", serialize.matrix_to_json(B))
         code, doc, loaded = run_process("classify", path)
         assert (code, doc["payload"]["tag"]) == (0, "KFamily")
@@ -117,7 +117,7 @@ class TestFloatingCommands:
 
     def test_orbit_test(self, capsys, tmp_path):
         A = representative(FamilyTag.non_sym_rank1()).to_floating()
-        B = congruate(A, so3c.random_so3(21).matrix)
+        B = congruate(A, so3c.random_so3(21))
         argv = [
             "orbit-test",
             write_json(tmp_path, "a.json", serialize.matrix_to_json(A)),
@@ -167,3 +167,31 @@ def test_bad_input_is_one_error_document(tmp_path, command, content):
     assert code == 2
     assert doc["command"] == command
     assert doc["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["orbit-test", "a.json"], "orbit-test"),
+        (["search", "--starts", "abc", "--seed", "1"], "search"),
+        (["search", "--starts", "5"], "search"),
+        (["no-such-command"], None),
+        ([], None),
+    ],
+    ids=["missing-file-and-seed", "malformed-int", "missing-seed", "unknown-command", "no-command"],
+)
+def test_bad_command_line_is_one_error_document(argv, command):
+    code, doc, _ = run_process(*argv)
+    assert code == 2
+    assert doc == {
+        "command": command,
+        "status": "error",
+        "payload": {"message": doc["payload"]["message"]},
+    }
+    assert doc["payload"]["message"].startswith("postlie-sl2")
+
+
+def test_help_exits_zero():
+    proc = python("-m", "postlie_sl2", "search", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: postlie-sl2 search")

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from postlie_sl2 import mateq, so3c
+from postlie_sl2 import linalg, mateq, so3c
+from postlie_sl2.cli import verify_canon
 from postlie_sl2.linalg import GaussianRational, IM, Mat3
 from postlie_sl2.mateq import (
     FamilyKind,
@@ -107,14 +108,14 @@ class TestCongruate:
         assert congruate(A, Mat3.identity()) == A
 
     def test_minus_identity_is_fixed_point(self):
-        T = so3c.random_so3(5).matrix
+        T = so3c.random_so3(5)
         B = congruate(-Mat3.identity(exact=False), T)
         assert (B - (-Mat3.identity(exact=False))).frobenius_norm() < 1e-12
 
     def test_preserves_solutions(self):
         A = representative(FamilyTag.trace_minus_2()).to_floating()
         for seed in range(10):
-            T = so3c.random_so3(seed).matrix
+            T = so3c.random_so3(seed)
             assert is_solution(congruate(A, T), 1e-9)
 
     def test_rejects_non_orthogonal(self):
@@ -242,7 +243,7 @@ class TestClassify:
         for name, tag in oracle_cases():
             A = representative(tag).to_floating()
             for seed in range(10):
-                T = so3c.random_so3(800 + seed).matrix
+                T = so3c.random_so3(800 + seed)
                 report = classify(congruate(A, T))
                 assert report.tag.close_to(tag, 1e-6), (name, seed, report.tag)
 
@@ -253,14 +254,14 @@ class TestClassify:
         assert complex(report.tag.k) == 10
         # rank-1 branch: k = 0 of a floating congruate
         A = representative(FamilyTag.k_family(0)).to_floating()
-        report = classify(congruate(A, so3c.random_so3(21).matrix))
+        report = classify(congruate(A, so3c.random_so3(21)))
         assert report.tag.kind == FamilyKind.K_FAMILY
         assert type(report.tag.k) is complex
         assert report.tag.k == 0
 
     def test_kfamily_minus1_not_trace_minus_2(self):
         A = representative(FamilyTag.k_family(-1)).to_floating()
-        T = so3c.random_so3(99).matrix
+        T = so3c.random_so3(99)
         report = classify(congruate(A, T))
         assert report.tag.kind == FamilyKind.K_FAMILY
         assert ("rank(A'A)", 1) in report.invariants_used
@@ -271,7 +272,7 @@ class TestClassify:
 
     def test_witness_attachment(self):
         tag = FamilyTag.trace_minus_2()
-        T = so3c.random_so3(41).matrix
+        T = so3c.random_so3(41)
         B = congruate(representative(tag).to_floating(), T)
         report = classify(B, find_witness=True, seed=7)
         assert report.witness is not None
@@ -363,7 +364,7 @@ class TestMargins:
 
     def test_one_margin_per_rank_decision(self):
         for seed, (_, tag) in enumerate(oracle_cases()):
-            A = congruate(representative(tag).to_floating(), so3c.random_so3(60 + seed).matrix)
+            A = congruate(representative(tag).to_floating(), so3c.random_so3(60 + seed))
             report = classify(A)
             ranks = [name for name, _ in report.invariants_used if name.startswith("rank(")]
             assert [m[0] for m in report.margins] == ranks
@@ -387,6 +388,17 @@ class TestMargins:
             assert classify(representative(tag)).margins == ()
 
 
+NULLITY_PREFIX = "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = "
+
+
+def k_family_tags(rng, lo: float, hi: float, n: int) -> list:
+    """n KFamily tags with log10 |k| uniform on [lo, hi] and a uniform phase."""
+    return [
+        FamilyTag.k_family(complex(10 ** rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.uniform())))
+        for _ in range(n)
+    ]
+
+
 class TestCongruenceTest:
     def test_reflexive(self):
         A = representative(FamilyTag.non_sym_rank1())
@@ -401,7 +413,16 @@ class TestCongruenceTest:
             seed=1,
         )
         assert v.status == "not_congruent"
-        assert v.separating_invariant == "rank(A'A)"
+        assert v.separating_invariant == NULLITY_PREFIX + "(2, 2, 3)"
+        # floating congruates of representatives of distinct classes
+        tags = [tag for _, tag in oracle_cases()] + [FamilyTag.k_family(2.5 - 1j)]
+        for i, s in enumerate(tags):
+            A = congruate(representative(s).to_floating(), so3c.random_so3(600 + i))
+            for j, t in enumerate(tags[i + 1:], i + 1):
+                B = congruate(representative(t).to_floating(), so3c.random_so3(650 + j))
+                v = congruence_test(A, B, seed=1)
+                assert v.status == "not_congruent", (s, t, v)
+                assert v.separating_invariant.startswith(NULLITY_PREFIX)
 
     def test_trace_separates_k_family(self):
         v = congruence_test(
@@ -410,11 +431,22 @@ class TestCongruenceTest:
             seed=1,
         )
         assert v.status == "not_congruent"
-        assert v.separating_invariant == "char_poly(A)"
+        assert v.separating_invariant == NULLITY_PREFIX + "(3, 2, 3)"
+        # k against k (1 + 0.05), |k| from 1e-3 to 1e3, both congruated
+        rng = np.random.default_rng(20261019)
+        for seed, tag in enumerate(k_family_tags(rng, -3, 3, 16)):
+            k = complex(tag.k)
+            A = congruate(representative(tag).to_floating(), so3c.random_so3(700 + seed))
+            B = congruate(
+                representative(FamilyTag.k_family(k * 1.05)).to_floating(),
+                so3c.random_so3(750 + seed),
+            )
+            v = congruence_test(A, B, seed=1)
+            assert v.status == "not_congruent", (k, v)
 
     def test_orbit_pair_finds_witness(self):
         A = representative(FamilyTag.non_sym_rank1()).to_floating()
-        T = so3c.random_so3(3).matrix
+        T = so3c.random_so3(3)
         B = congruate(A, T)
         v = congruence_test(A, B, seed=5)
         assert v.status == "congruent"
@@ -425,7 +457,7 @@ class TestCongruenceTest:
 
     def test_deterministic(self):
         A = representative(FamilyTag.trace_minus_2()).to_floating()
-        B = congruate(A, so3c.random_so3(13).matrix)
+        B = congruate(A, so3c.random_so3(13))
         v1 = congruence_test(A, B, budget=16, seed=99)
         v2 = congruence_test(A, B, budget=16, seed=99)
         assert v1 == v2
@@ -438,17 +470,22 @@ class TestCongruenceTest:
             classify(A, find_witness=True, budget=-5)
 
     def test_exact_prefilter_needs_no_spectral_scale(self, monkeypatch):
-        # exact ranks ignore the floor, so exact input never computes it
-        def fail(A):
-            raise AssertionError("spectral scale of an exact matrix")
+        # exact classification, and the pairwise check of verify-canon built
+        # on its tags, never reach floating arithmetic
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} on an exact path")
 
-        monkeypatch.setattr(mateq, "_spectral_scale", fail)
+        for module in (linalg, mateq, so3c):
+            monkeypatch.setattr(module, "np", NoNumpy())
         tags = [tag for _, tag in oracle_cases()]
         for s in tags:
             assert classify(representative(s)).tag == s
-            for t in tags:
-                verdict = mateq.invariant_prefilter(representative(s), representative(t), 1e-8)
-                assert (verdict is None) == (s == t), (s, t, verdict)
+        code, payload = verify_canon()
+        assert code == 0
+        assert payload["pairs_checked"] == 36
+        assert payload["pairwise_noncongruent"] is True
+        assert "undistinguished_pairs" not in payload
 
 
 def _assert_witness(W: Mat3, A: np.ndarray, B: np.ndarray):
@@ -499,24 +536,33 @@ class TestWitnessConstruction:
 
     def test_solution_congruates(self):
         rng = np.random.default_rng(20261018)
-        tags = [
-            FamilyTag.k_family(
-                complex(10 ** rng.uniform(-3, 1) * np.exp(2j * np.pi * rng.uniform()))
-            )
-            for _ in range(24)
-        ]
+        tags = k_family_tags(rng, -3, 1, 24)
         tags += [FamilyTag.trace_minus_2(), FamilyTag.non_sym_rank1()] * 4
+        # |k| up to 1e4 for congruence_test; classify keeps |k| <= 10, where
+        # its fixed residual tolerance holds
+        tags += k_family_tags(rng, 1, 4, 24)
         # random_so3 draws have ||T||_2 up to 10
         for seed, tag in enumerate(tags):
             A = representative(tag).to_floating()
-            B = congruate(A, so3c.random_so3(900 + seed).matrix)
+            B = congruate(A, so3c.random_so3(900 + seed))
             v = congruence_test(A, B, seed=3)
             assert v.status == "congruent", (tag, v)
             _assert_witness(v.witness, A.to_numpy(), B.to_numpy())
+            if tag.k is not None and abs(complex(tag.k)) > 10:
+                continue
             report = classify(B, find_witness=True, seed=4)
             assert report.witness is not None, tag
             rep = representative(report.tag).to_numpy()
             _assert_witness(report.witness, rep, B.to_numpy())
+
+    @pytest.mark.parametrize("k", [100.0, 1000.0, 12345.678])
+    def test_large_k_congruates_are_congruent(self, k):
+        # ||B||_2 grows with k: no part of the decision may hang on an absolute scale
+        A = representative(FamilyTag.k_family(complex(k))).to_floating()
+        B = congruate(A, so3c.random_so3(0))
+        v = congruence_test(A, B)
+        assert v.status == "congruent", v
+        _assert_witness(v.witness, A.to_numpy(), B.to_numpy())
 
     def test_nilpotent_symmetric_forms(self):
         forms = [
@@ -526,7 +572,7 @@ class TestWitnessConstruction:
         ]
         for seed, f in enumerate(forms * 4):
             S = canonical_matrix(f).to_floating()
-            S2 = congruate(S, so3c.random_so3(950 + seed).matrix)
+            S2 = congruate(S, so3c.random_so3(950 + seed))
             v = find_orthogonal_similarity(S, S2, seed=5)
             assert v.status == "congruent", (f, v)
             _assert_witness(v.witness, S.to_numpy(), S2.to_numpy())
@@ -535,31 +581,29 @@ class TestWitnessConstruction:
         rng = np.random.default_rng(11)
         for seed in range(10):
             A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            T = so3c.random_so3(980 + seed).matrix.to_numpy()
+            T = so3c.random_so3(980 + seed).to_numpy()
             v = congruence_test(Mat3.from_numpy(A), Mat3.from_numpy(T.T @ A @ T), seed=6)
             assert v.status == "congruent"
             _assert_witness(v.witness, A, T.T @ A @ T)
 
 
 class TestNullitySeparation:
-    """Pairs that share every prefilter invariant and have no witness: the
-    nullspace dimensions for (A, A), (A, B) and (B, B) separate them."""
-
-    PREFIX = "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = "
+    """Pairs of equal ranks and characteristic polynomials that the
+    nullspace dimensions for (A, A), (A, B) and (B, B) separate."""
 
     def test_rank2_block_against_rank2_diag(self):
         A = canonical_matrix(form(FormKind.RANK2_BLOCK, 1.5 + 0j))
         B = canonical_matrix(form(FormKind.RANK2_DIAG, 1.5 + 0j, 1.5 + 0j))
         v = find_orthogonal_similarity(A, B, seed=1)
         assert v.status == "not_congruent"
-        assert v.separating_invariant == self.PREFIX + "(3, 3, 5)"
+        assert v.separating_invariant == NULLITY_PREFIX + "(3, 3, 5)"
 
     def test_rank3_one_block_against_scalar(self):
         A = canonical_matrix(form(FormKind.RANK3_ONE_BLOCK, 2 + 0j, 2 + 0j))
         B = Mat3.diag(2 + 0j, 2 + 0j, 2 + 0j)
         v = find_orthogonal_similarity(A, B, seed=1)
         assert v.status == "not_congruent"
-        assert v.separating_invariant == self.PREFIX + "(5, 6, 9)"
+        assert v.separating_invariant == NULLITY_PREFIX + "(5, 6, 9)"
 
     def test_separated_after_the_first_failed_start(self, monkeypatch):
         polar = mateq._orthogonal_polar_factor
@@ -583,21 +627,17 @@ class TestNullitySeparation:
         for A, B in pairs:
             calls.clear()
             assert find_orthogonal_similarity(A, B, seed=1).status == "not_congruent"
-            assert len(calls) <= 1
+            assert not calls  # the dimensions answer before any start
 
     def test_congruent_pairs_are_never_separated(self):
-        # with no search budget every pair falls through to the check
+        # with no search budget the nullspace dimensions alone answer
         rng = np.random.default_rng(20261018)
-        tags = [
-            FamilyTag.k_family(
-                complex(10 ** rng.uniform(-3, 1) * np.exp(2j * np.pi * rng.uniform()))
-            )
-            for _ in range(24)
-        ]
+        tags = k_family_tags(rng, -3, 1, 24)
         tags += [FamilyTag.trace_minus_2(), FamilyTag.non_sym_rank1()] * 4
+        tags += k_family_tags(rng, 1, 4, 24)
         for seed, tag in enumerate(tags):
             A = representative(tag).to_floating()
-            B = congruate(A, so3c.random_so3(900 + seed).matrix)
+            B = congruate(A, so3c.random_so3(900 + seed))
             assert congruence_test(A, B, budget=0).status == "unknown", tag
 
     def test_undecided_gap_stays_unknown(self):
@@ -608,7 +648,9 @@ class TestNullitySeparation:
         dims = [len(mateq._nullspace_sylvester(X, Y)[0]) for X, Y in ((A, A), (A, B), (B, B))]
         assert dims == [3, 3, 5]
         assert mateq._nullspace_sylvester(A, B)[1] is False
-        assert mateq._verdict_without_witness(A, B, 0).status == "unknown"
+        assert mateq._separating_nullities(A, B)[1] is None
+        verdict = congruence_test(Mat3.from_numpy(A), Mat3.from_numpy(B), budget=0, tol=1e-12)
+        assert verdict.status == "unknown"
 
 
 class TestRank3Rigidity:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from postlie_sl2 import so3c
 from postlie_sl2.linalg import GaussianRational, Mat2, Mat3, Vec3
 from postlie_sl2.sl2 import bracket
 from postlie_sl2.so3c import (
@@ -50,13 +51,14 @@ class TestCayley:
 
 class TestRandomSampling:
     def test_deterministic(self):
-        assert random_so3(1234).matrix == random_so3(1234).matrix
+        assert random_so3(1234) == random_so3(1234)
 
     def test_membership_at_1e10(self):
         for seed in range(25):
-            sample = random_so3(seed)
-            assert sample.tol == 1e-10
-            assert is_special_orthogonal(sample.matrix, 1e-10)
+            T = random_so3(seed)
+            assert T.kind == "floating"
+            assert is_special_orthogonal(T, so3c.MEMBERSHIP_TOL)
+        assert so3c.MEMBERSHIP_TOL == 1e-10
 
     def test_exact_variant(self):
         for seed in range(10):
@@ -123,20 +125,20 @@ class TestAutomorphismCheck:
 
     def test_random_so3_samples(self):
         for seed in range(50):
-            assert automorphism_check(random_so3(seed).matrix)
+            assert automorphism_check(random_so3(seed))
 
     def test_scaling_breaks_it(self):
         assert not automorphism_check(Mat3.identity().scale(gr(2)))
 
     def test_adjugate_identity_on_samples(self):
         for seed in range(25):
-            T = random_so3(seed).matrix
+            T = random_so3(seed)
             assert (T.adjugate().transpose() - T).frobenius_norm() <= 1e-10
 
     def test_agrees_with_bracket_preservation(self):
         # cross-check: the adjugate identity against explicit bracket tests
         rng = np.random.default_rng(11)
-        cases = [random_so3(s).matrix for s in range(10)]
+        cases = [random_so3(s) for s in range(10)]
         for _ in range(10):
             cases.append(
                 Mat3.from_numpy(

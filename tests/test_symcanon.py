@@ -141,7 +141,7 @@ class TestClassifySymmetric:
     def test_stable_under_orthogonal_similarity(self, f):
         M = canonical_matrix(f).to_floating()
         for seed in range(10):
-            T = so3c.random_so3(400 + seed).matrix
+            T = so3c.random_so3(400 + seed)
             got = classify_symmetric(mateq.congruate(M, T))
             assert got.close_to(f, 1e-4), (f.kind, seed, got)
 
@@ -159,7 +159,7 @@ class TestFindOrthogonalSimilarity:
 
     def test_orbit_pair(self):
         S = canonical_matrix(form(FormKind.RANK1_DIAG, 2)).to_floating()
-        T = so3c.random_so3(77).matrix
+        T = so3c.random_so3(77)
         v = find_orthogonal_similarity(S, mateq.congruate(S, T), seed=3)
         assert v.status == "congruent"
 
