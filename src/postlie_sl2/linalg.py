@@ -13,6 +13,11 @@ Two scalar worlds coexist and never mix inside one matrix:
 Vectors are *row* coordinate vectors throughout: a linear map with matrix
 ``A`` sends ``v`` to ``v @ A``.
 
+Floating ranks have one rule, :func:`rank_decisions`: singular values
+above ``tol * max(sigma_max, floor)`` count.  ``Mat3.rank``, the
+classifier and the congruence nullspaces all read it.  Floating
+eigenvalues come from ``np.linalg.eigvals``.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently without locks.
 """
@@ -34,6 +39,7 @@ __all__ = [
     "Mat2",
     "JordanSignature",
     "IllConditioned",
+    "rank_decisions",
     "eigenvalues",
     "jordan_signature",
 ]
@@ -344,9 +350,7 @@ class Vec3:
         )
 
     def is_zero(self) -> bool:
-        if self.kind == EXACT:
-            return not any(self.coords)
-        return all(z == 0 for z in self.coords)
+        return not any(self.coords)
 
     def max_abs(self) -> float:
         return max(_scalar_abs(c) for c in self.coords)
@@ -446,9 +450,7 @@ class _SquareMatrix:
         return t
 
     def is_zero(self) -> bool:
-        if self.kind == EXACT:
-            return not any(x for r in self.rows for x in r)
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(x for r in self.rows for x in r)
 
     def frobenius_norm(self) -> float:
         if self.kind == EXACT:
@@ -500,7 +502,7 @@ class Mat2(_SquareMatrix):
     def inverse(self) -> "Mat2":
         d = self.det()
         r = self.rows
-        if (self.kind == EXACT and not d) or (self.kind == FLOATING and d == 0):
+        if not d:
             raise ZeroDivisionError("singular 2x2 matrix")
         return Mat2(
             [
@@ -554,7 +556,7 @@ class Mat3(_SquareMatrix):
 
     def inverse(self) -> "Mat3":
         d = self.det()
-        if (self.kind == EXACT and not d) or (self.kind == FLOATING and d == 0):
+        if not d:
             raise ZeroDivisionError("singular 3x3 matrix")
         one = _one(self.kind)
         return self.adjugate().scale(one / d)
@@ -575,11 +577,8 @@ class Mat3(_SquareMatrix):
         """Rank of the matrix.
 
         Exact matrices are row-reduced over the field (``tol`` must be 0 or
-        omitted; ``floor`` is ignored).  Floating matrices count singular
-        values above ``tol * max(sigma_max, floor)`` with ``tol`` defaulting
-        to 1e-8; the zero matrix has rank 0.  The floor carries the scale
-        of the object a matrix was derived from, so that a derived matrix
-        that is mathematically zero but numerically noise has rank 0.
+        omitted; ``floor`` is ignored).  Floating matrices are the one-row
+        call of :func:`rank_decisions`, with ``tol`` defaulting to 1e-8.
         """
         if self.kind == EXACT:
             if tol not in (None, 0, 0.0):
@@ -588,9 +587,34 @@ class Mat3(_SquareMatrix):
         if tol is None:
             tol = DEFAULT_RANK_TOL
         sv = np.linalg.svd(self.to_numpy(), compute_uv=False)
-        if sv[0] == 0.0:
-            return 0
-        return int((sv > tol * max(float(sv[0]), floor)).sum())
+        return rank_decisions(sv[None], tol, floor)[0][0]
+
+
+def rank_decisions(sv, tol: float, floor) -> list:
+    """The floating rank rule, on a stack of rows of descending singular
+    values: per row, (rank, singular value nearest the threshold in ratio,
+    threshold).
+
+    The rank counts singular values above ``tol * max(sigma_max, floor)``;
+    ``floor`` is one number or one per row.  The floor carries the scale of
+    the object a matrix was derived from, so that a derived matrix that is
+    mathematically zero but numerically noise has rank 0.  A row with
+    threshold 0 (the zero matrix at floor 0) has rank 0, and its nearest
+    singular value is 0.
+    """
+    rows = sv.tolist()
+    floors = floor.tolist() if isinstance(floor, np.ndarray) else [floor] * len(rows)
+    out = []
+    for row, f in zip(rows, floors):
+        threshold = tol * max(row[0], f)
+        if not threshold:
+            out.append((0, 0.0, 0.0))
+            continue
+        log_t = math.log(threshold)
+        rank = sum(x > threshold for x in row)
+        nearest = min(row, key=lambda x: abs(math.log(x) - log_t) if x > 0 else math.inf)
+        out.append((rank, nearest, threshold))
+    return out
 
 
 def _exact_rank(rows) -> int:
@@ -622,50 +646,12 @@ def _exact_rank(rows) -> int:
 
 
 def eigenvalues(A: Mat3) -> tuple[complex, complex, complex]:
-    """Roots of the characteristic polynomial of a floating matrix.
-
-    Cardano's closed form followed by one Newton polish per root; multiple
-    roots are returned with repetition.  Results are sorted by
-    ``(real, imag)`` for determinism.
-    """
+    """Eigenvalues of a floating matrix with repetition, from
+    ``np.linalg.eigvals``, sorted by ``(real, imag)`` for determinism."""
     if A.kind != FLOATING:
         raise TypeError("eigenvalues needs a floating matrix; use to_floating()")
-    c2, c1, c0 = (complex(c) for c in A.char_poly())
-    roots = _cubic_roots(c2, c1, c0)
-
-    def poly(x):
-        return ((x + c2) * x + c1) * x + c0
-
-    def dpoly(x):
-        return (3 * x + 2 * c2) * x + c1
-
-    polished = []
-    for r in roots:
-        d = dpoly(r)
-        # skip the polish near multiple roots where the derivative vanishes
-        if abs(d) > 1e-6 * (1.0 + abs(r)) ** 2:
-            r = r - poly(r) / d
-        polished.append(r)
-    return tuple(sorted(polished, key=lambda z: (z.real, z.imag)))
-
-
-def _cubic_roots(c2: complex, c1: complex, c0: complex):
-    p = c1 - c2 * c2 / 3
-    q = 2 * c2**3 / 27 - c2 * c1 / 3 + c0
-    shift = -c2 / 3
-    if p == 0 and q == 0:
-        return [shift, shift, shift]
-    disc = (q / 2) ** 2 + (p / 3) ** 3
-    s = cmath.sqrt(disc)
-    u3 = -q / 2 + s
-    alt = -q / 2 - s
-    if abs(alt) > abs(u3):  # avoid cancellation in the cube-root argument
-        u3 = alt
-    u = u3 ** (1 / 3)
-    v = -p / (3 * u)
-    w = complex(-0.5, math.sqrt(3) / 2)
-    w2 = w * w
-    return [u + v + shift, w * u + w2 * v + shift, w2 * u + w * v + shift]
+    vals = np.linalg.eigvals(A.to_numpy()).tolist()
+    return tuple(sorted(vals, key=lambda z: (z.real, z.imag)))
 
 
 @dataclass(frozen=True)
@@ -768,18 +754,16 @@ def _min_intercluster_gap(groups):
 
 def _block_sizes(A: Mat3, lam, mult: int, rank_tol) -> tuple:
     shifted = A - Mat3.identity_like(A).scale(lam)
+    # powers of a nilpotent part are numerically noise; a floating rank
+    # threshold is floored at the matching power of the shifted matrix's
+    # scale, and an exact rank ignores the floor
+    scale = 1.0
+    if A.kind == FLOATING:
+        scale = max(float(np.linalg.norm(shifted.to_numpy(), 2)), 1.0)
     ranks = [3]
     power = shifted
-    if A.kind == FLOATING:
-        # powers of a nilpotent part are numerically noise; floor the rank
-        # threshold at the matching power of the shifted matrix's scale
-        scale = max(float(np.linalg.norm(shifted.to_numpy(), 2)), 1.0)
-        for p in range(1, mult + 1):
-            ranks.append(power.rank(rank_tol, scale**p))
-            power = power @ shifted
-        return _sizes_from_ranks(ranks, mult, lam)
-    for _ in range(mult):
-        ranks.append(power.rank(rank_tol))
+    for p in range(1, mult + 1):
+        ranks.append(power.rank(rank_tol, scale**p))
         power = power @ shifted
     return _sizes_from_ranks(ranks, mult, lam)
 

@@ -1,7 +1,8 @@
 """The matrix equation A'((tr A + 1) I - A) = A* and its solution classes.
 
-Provides the residual of the equation, on a ``Mat3`` (exact or floating)
-and on a stack of complex (3,3) arrays; the five canonical solution
+Provides the residual of the equation, on a ``Mat3`` (the exact path
+and the reference) and on complex (3,3) arrays or stacks of them (the one
+floating kernel, which every floating decision reads); the five canonical solution
 families; the SO(3,C) congruence action; a congruence decision procedure
 (the nullspace dimensions of the similarity equations for (A, A), (A, B)
 and (B, B) decide non-congruence; otherwise a witness is built as the
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from . import so3c
 from ._numpy import np
-from .linalg import EXACT, GaussianRational, Mat3
+from .linalg import EXACT, GaussianRational, Mat3, rank_decisions
 
 __all__ = [
     "FamilyKind",
@@ -166,26 +167,37 @@ def residual(A: Mat3) -> Mat3:
     return A.transpose() @ (I.scale(s) - A) - A.adjugate()
 
 
-def residual_array(A: np.ndarray) -> np.ndarray:
-    """:func:`residual` on a complex (3,3) array or a stack of them, with the
-    Cayley-Hamilton adjugate A* = A^2 - tr(A) A + ((tr A)^2 - tr(A^2))/2 I.
+#: rows (and columns) i+1 and i+2, cyclically, for i = 0, 1, 2
+_NEXT = [1, 2, 0]
+_AFTER = [2, 0, 1]
 
-    Each matrix of a stack is computed on its own; the result agrees with
-    the cofactor adjugate of :func:`residual` up to rounding.
+
+def residual_array(A: np.ndarray) -> np.ndarray:
+    """:func:`residual` on a complex (3,3) array or a stack of them, each
+    matrix on its own.
+
+    The adjugate is the cofactor matrix of A': entry (i, j) is the 2x2
+    minor of A' on rows i+1, i+2 and columns j+1, j+2 (indices mod 3),
+    whose cyclic order carries the cofactor sign.  No term cancels on a
+    solution, so the residual of a solution of large norm stays at
+    rounding level; an overflowing entry gives inf or nan, which callers
+    must not read as small.
     """
-    I = np.eye(3)
+    At = np.swapaxes(A, -1, -2)
     t = np.trace(A, axis1=-2, axis2=-1)[..., None, None]
-    A2 = A @ A
-    c1 = (t * t - np.trace(A2, axis1=-2, axis2=-1)[..., None, None]) / 2
-    return np.swapaxes(A, -1, -2) @ ((t + 1) * I - A) - (A2 - t * A + c1 * I)
+    r1, r2 = At[..., _NEXT, :], At[..., _AFTER, :]
+    adj = r1[..., _NEXT] * r2[..., _AFTER] - r1[..., _AFTER] * r2[..., _NEXT]
+    return At @ ((t + 1) * np.eye(3) - A) - adj
 
 
 def is_solution(A: Mat3, tol: float = DEFAULT_SOLUTION_TOL) -> bool:
-    """Exact matrices: residual is exactly zero.  Floating: norm below ``tol``."""
-    r = residual(A)
+    """Exact matrices: residual is exactly zero.  Floating: the norm of
+    :func:`residual_array` is below ``tol``, which a residual that
+    overflows to inf or nan never is."""
     if A.kind == EXACT:
-        return r.is_zero()
-    return r.frobenius_norm() < tol
+        return residual(A).is_zero()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.linalg.norm(residual_array(A.to_numpy())) < tol)
 
 
 def rank2_identity_residual(A: Mat3) -> Mat3:
@@ -283,20 +295,19 @@ def _nullspace_sylvester(
 
     Every witness lies here: transposing T'AT = B for an orthogonal T gives
     A'T = TB'.  The space is closed under S -> S^-T, and S'S commutes with
-    B for each S in it.  The dimension counts singular values at or below
-    a cutoff; it is decided when every singular value lies a factor
-    ``NULLITY_GAP`` or more away from that cutoff.
+    B for each S in it.  The dimension is the nullity by the rule of
+    :func:`linalg.rank_decisions` at tol 1e-10 and floor 1; it is decided
+    when the singular value nearest the cutoff lies a factor
+    ``NULLITY_GAP`` or more away from it.
     """
     I = np.eye(3)
     M = np.vstack(
         [np.kron(Af, I) - np.kron(I, Bf.T), np.kron(Af.T, I) - np.kron(I, Bf)]
     )
     _, sv, vh = np.linalg.svd(M)
-    cutoff = 1e-10 * max(1.0, float(sv[0]))
-    basis = [vh[idx].conj().reshape(3, 3) for idx in range(9) if sv[idx] <= cutoff]
-    decided = all(
-        x <= cutoff / NULLITY_GAP or x >= cutoff * NULLITY_GAP for x in sv.tolist()
-    )
+    rank, nearest, cutoff = rank_decisions(sv[None], 1e-10, 1.0)[0]
+    basis = [vh[idx].conj().reshape(3, 3) for idx in range(rank, 9)]
+    decided = nearest <= cutoff / NULLITY_GAP or nearest >= cutoff * NULLITY_GAP
     return basis, decided
 
 
@@ -454,18 +465,6 @@ def _family_tag(rank_of, trace, at_minus_2: bool, exact: bool):
     return tag, tuple(invariants)
 
 
-def _rank_decisions(sv: np.ndarray, tol: float, floor) -> list:
-    """(rank, singular value nearest the threshold in ratio, threshold) for
-    each row of a stack of descending singular values, the rank by the rule
-    of ``Mat3.rank(tol, floor)``; ``floor`` is one number or one per row."""
-    threshold = tol * np.maximum(sv[:, 0], floor)
-    rank = np.where(sv[:, 0] == 0.0, 0, (sv > threshold[:, None]).sum(axis=1))
-    with np.errstate(divide="ignore"):
-        gap = np.abs(np.log(sv / threshold[:, None]))
-    nearest = sv[np.arange(len(sv)), gap.argmin(axis=1)]
-    return list(zip(rank.tolist(), nearest.tolist(), threshold.tolist()))
-
-
 def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
     """Floating classification of every matrix of a stack of finite complex
     (3,3) arrays, shape (N,3,3).
@@ -474,7 +473,8 @@ def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
     :func:`classify` returns for ``A[n]``, or the :class:`NotASolution` or
     :class:`Inconclusive` it raises.  The residual and its norm, rank(A),
     tr(A) and the spectral scale max(||A||_2, 1) are computed for the
-    whole stack, rank(A) from one batched SVD.  rank(sym(A) + I/2),
+    whole stack, rank(A) from one batched SVD; a residual norm that is not
+    finite is never a solution.  rank(sym(A) + I/2),
     floored at the scale, is computed only for the rows of rank 1, and
     rank(A'A), floored at the scale squared, only for the rows of rank 2
     with |tr(A) + 2| <= tol.  Each report lists one margin per rank
@@ -482,11 +482,12 @@ def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
     A row's report does not depend on the other rows.
     """
     A = np.asarray(A, dtype=complex)
-    res_norm = np.linalg.norm(residual_array(A), axis=(-2, -1))
-    solution = ~(res_norm >= tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_norm = np.linalg.norm(residual_array(A), axis=(-2, -1))
+    solution = res_norm < tol
     sv = np.linalg.svd(A, compute_uv=False)
     scale = np.maximum(sv[:, 0], 1.0)
-    decisions = [{RANK_A: triple} for triple in _rank_decisions(sv, tol, 1.0)]
+    decisions = [{RANK_A: triple} for triple in rank_decisions(sv, tol, 1.0)]
     rank_a = np.array([got[RANK_A][0] for got in decisions], dtype=int)
     # summed left to right as Mat3.trace does, so k = tr(A) + 1 is the same
     trace = A[:, 0, 0] + A[:, 1, 1] + A[:, 2, 2]
@@ -499,7 +500,7 @@ def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
     rows = np.flatnonzero(solution & (rank_a == 2) & at_minus_2)
     second.append((RANK_ATA, rows, At[rows] @ A[rows], scale[rows] ** 2))
     for name, rows, M, floor in second:
-        found = _rank_decisions(np.linalg.svd(M, compute_uv=False), tol, floor)
+        found = rank_decisions(np.linalg.svd(M, compute_uv=False), tol, floor)
         for row, triple in zip(rows.tolist(), found):
             decisions[row][name] = triple
 
@@ -508,9 +509,8 @@ def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
         res_norm.tolist(), solution.tolist(), trace.tolist(), at_minus_2.tolist(), decisions
     ):
         if not ok:
-            reports.append(
-                NotASolution(f"matrix equation residual {norm:.3e} exceeds {tol:.3e}")
-            )
+            reason = f"{norm:.3e} exceeds {tol:.3e}" if math.isfinite(norm) else "is not finite"
+            reports.append(NotASolution(f"matrix equation residual {reason}"))
             continue
         try:
             tag, invariants = _family_tag(lambda name: got[name][0], t, near_2, exact=False)

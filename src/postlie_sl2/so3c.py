@@ -119,7 +119,7 @@ def adjoint_rep(P: Mat2) -> Mat3:
     det(P) = 0.  The result lies in SO(3,C).
     """
     d = P.det()
-    if (P.kind == EXACT and not d) or (P.kind != EXACT and d == 0):
+    if not d:
         raise Singular("adjoint_rep needs an invertible 2x2 matrix")
     Pinv = P.inverse()
     return Mat3(

@@ -1,7 +1,8 @@
 """Multistart damped Newton root-finding for the matrix equation.
 
 Newton runs on a stack of complex (3,3) arrays, one row per start, with
-the residual of ``mateq.residual_array``.  The residual map is
+``mateq.residual_array``, the cofactor residual that floating
+classification and ``is_solution`` also read.  The residual map is
 polynomial, hence holomorphic, so each step solves one 9x9 complex
 system per row with the analytic Jacobian; the 18x18 real Jacobian
 over (real parts, imaginary parts) is a derived view of it.  Every

@@ -147,9 +147,7 @@ def d_k_block(k: int):
 
 def _require_nonzero(*params):
     for p in params:
-        if (isinstance(p, GaussianRational) and not p) or (
-            not isinstance(p, GaussianRational) and complex(p) == 0
-        ):
+        if not p:
             raise InvalidParameter("canonical-form constants must be non-zero")
 
 

@@ -99,6 +99,21 @@ class TestClassify:
         name, sigma, threshold = margins[0]
         assert sigma / threshold == pytest.approx(0.1, rel=1e-6)
 
+    def test_overflowing_residual_is_not_a_solution(self, capsys, tmp_path):
+        # the residual overflows to nan: exit 1, valid JSON, nothing on stderr
+        A = Mat3.diag(1e200 + 0j, 1e200 + 0j, 1 + 0j)
+        path = write_matrix(tmp_path, "m.json", A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["classify", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["status"] == "violation"
+        assert doc["payload"]["error"] == "NotASolution"
+        assert "not finite" in doc["payload"]["detail"]
+
     def test_exact_reports_no_margins(self, capsys, tmp_path):
         path = write_matrix(tmp_path, "m.json", representative(FamilyTag.k_family(5)))
         code, doc = run(capsys, "classify", path)

@@ -15,6 +15,7 @@ from postlie_sl2.linalg import (
     Vec3,
     eigenvalues,
     jordan_signature,
+    rank_decisions,
 )
 from postlie_sl2.mateq import residual
 
@@ -374,6 +375,10 @@ class TestRank:
     def test_zero_matrix(self):
         assert Mat3.zero().rank() == 0
         assert Mat3.zero(exact=False).rank() == 0
+        # threshold 0 (floor 0): rank 0, nearest value 0, and no warning
+        assert Mat3.zero(exact=False).rank(1e-8, 0.0) == 0
+        rows = rank_decisions(np.zeros((2, 3)), 1e-8, np.array([0.0, 1.0]))
+        assert rows == [(0, 0.0, 0.0), (0, 0.0, 1e-8)]
 
     def test_family3_rank2(self):
         # rows 2 and 3 agree, row 1 independent

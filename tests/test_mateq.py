@@ -61,6 +61,31 @@ class TestIsSolution:
         tag = FamilyTag.k_family(GaussianRational(7, 1))  # k = 7 + i
         assert is_solution(representative(tag))
 
+    def test_overflowing_residual_is_not(self):
+        # the residual of a random matrix of norm 1e200 overflows to inf/nan
+        rng = np.random.default_rng(3)
+        A = 1e200 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        assert is_solution(Mat3.from_numpy(A)) is False
+
+
+class TestResidualArray:
+    @pytest.mark.parametrize("k", [1e150, 1e155, 1e200])
+    def test_huge_k_representative_is_exactly_zero(self, k):
+        # no term of the cofactor adjugate cancels on the representative
+        A = representative(FamilyTag.k_family(k + 0j)).to_numpy()
+        assert not mateq.residual_array(A).any()
+        assert is_solution(Mat3.from_numpy(A))
+
+    def test_non_finite_residual_is_not_a_solution(self):
+        A = np.diag([1e200, 1e200, 1]).astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(mateq.residual_array(A)).all()
+        (got,) = mateq.classify_stack(A[None])
+        assert type(got) is NotASolution
+        assert str(got) == "matrix equation residual is not finite"
+        with pytest.raises(NotASolution, match="not finite"):
+            classify(Mat3.from_numpy(A))
+
 
 class TestRepresentatives:
     def test_zero(self):
@@ -312,7 +337,7 @@ class TestClassifyStack:
             assert got.tag.kind == want.tag.kind
             assert got.tag.k == want.tag.k
             assert got.invariants_used == want.invariants_used
-            # the Cayley-Hamilton and the cofactor residual round differently
+            # the array and the Mat3 residual sum in different orders
             n = np.linalg.norm(A, 2)
             assert abs(got.residual_norm - want.residual_norm) <= 1e-12 * (n * n + n + 1)
             kinds.add(got.tag.kind)
