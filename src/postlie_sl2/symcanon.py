@@ -1,9 +1,13 @@
 """Canonical forms of complex symmetric 3x3 matrices under SO(3,C).
 
-Ten forms, stratified by rank, built from scalar blocks and the symmetric
-nilpotent blocks D_k.  ``classify_symmetric`` identifies the unique form of
-a symmetric matrix through its Jordan signature; witness construction is
-delegated to the congruence machinery.
+Each of the ten forms is a direct sum of blocks lam*I_k + D_k, where D_k
+is the symmetric nilpotent k x k block, so a form is its Jordan type: the
+block sizes at its nonzero eigenvalues and at eigenvalue 0.  One table of
+those types builds each form's matrix (``canonical_matrix``), gives its
+parameter count and rank (``SymCanonicalForm``) and, read backwards,
+names the form of a symmetric matrix from its Jordan signature
+(``classify_symmetric``).  Witness construction is delegated to the
+congruence machinery.
 """
 
 from __future__ import annotations
@@ -61,31 +65,22 @@ class FormKind(enum.Enum):
     ZERO_FORM = "ZeroForm"
 
 
-_PARAM_COUNT = {
-    FormKind.RANK3_DIAG: 3,
-    FormKind.RANK3_ONE_BLOCK: 2,
-    FormKind.RANK3_BIG_BLOCK: 1,
-    FormKind.RANK2_DIAG: 2,
-    FormKind.RANK2_BLOCK: 1,
-    FormKind.RANK2_NILP: 1,
-    FormKind.RANK2_BIG_NILP: 0,
-    FormKind.RANK1_DIAG: 1,
-    FormKind.RANK1_NILP: 0,
-    FormKind.ZERO_FORM: 0,
+# Each form's Jordan type: its block sizes at nonzero eigenvalues, one
+# block per parameter in parameter order, then its block sizes at 0.
+_JORDAN_TYPE = {
+    FormKind.RANK3_DIAG: ((1, 1, 1), ()),
+    FormKind.RANK3_ONE_BLOCK: ((1, 2), ()),
+    FormKind.RANK3_BIG_BLOCK: ((3,), ()),
+    FormKind.RANK2_DIAG: ((1, 1), (1,)),
+    FormKind.RANK2_BLOCK: ((2,), (1,)),
+    FormKind.RANK2_NILP: ((1,), (2,)),
+    FormKind.RANK2_BIG_NILP: ((), (3,)),
+    FormKind.RANK1_DIAG: ((1,), (1, 1)),
+    FormKind.RANK1_NILP: ((), (2, 1)),
+    FormKind.ZERO_FORM: ((), (1, 1, 1)),
 }
 
-_FORM_RANK = {
-    FormKind.RANK3_DIAG: 3,
-    FormKind.RANK3_ONE_BLOCK: 3,
-    FormKind.RANK3_BIG_BLOCK: 3,
-    FormKind.RANK2_DIAG: 2,
-    FormKind.RANK2_BLOCK: 2,
-    FormKind.RANK2_NILP: 2,
-    FormKind.RANK2_BIG_NILP: 2,
-    FormKind.RANK1_DIAG: 1,
-    FormKind.RANK1_NILP: 1,
-    FormKind.ZERO_FORM: 0,
-}
+_KIND_OF_TYPE = {jordan_type: kind for kind, jordan_type in _JORDAN_TYPE.items()}
 
 
 @dataclass(frozen=True)
@@ -96,10 +91,10 @@ class SymCanonicalForm:
     params: tuple = ()
 
     def __post_init__(self):
-        if len(self.params) != _PARAM_COUNT[self.kind]:
+        count = len(_JORDAN_TYPE[self.kind][0])
+        if len(self.params) != count:
             raise ValueError(
-                f"{self.kind.value} takes {_PARAM_COUNT[self.kind]} parameters, "
-                f"got {len(self.params)}"
+                f"{self.kind.value} takes {count} parameters, got {len(self.params)}"
             )
 
     def close_to(self, other: "SymCanonicalForm", tol: float) -> bool:
@@ -112,7 +107,7 @@ class SymCanonicalForm:
 
     @property
     def rank(self) -> int:
-        return _FORM_RANK[self.kind]
+        return 3 - len(_JORDAN_TYPE[self.kind][1])
 
 
 def _coerce_param(v):
@@ -152,59 +147,30 @@ def _require_nonzero(*params):
 
 
 def canonical_matrix(f: SymCanonicalForm) -> Mat3:
-    """The verbatim matrix of the form.
+    """The verbatim matrix of the form: its Jordan blocks down the diagonal.
 
     Exact parameters give an exact matrix, floating parameters a floating
     one.  Raises :class:`InvalidParameter` when a required-nonzero constant
     is zero.
     """
-    kind, p = f.kind, f.params
-    exact = all(isinstance(x, GaussianRational) for x in p)
+    _require_nonzero(*f.params)
+    exact = all(isinstance(x, GaussianRational) for x in f.params)
     z = GaussianRational(0) if exact else 0j
-    one = GaussianRational(1) if exact else 1 + 0j
-    i1 = GaussianRational(0, 1) if exact else 1j
-
-    if kind == FormKind.ZERO_FORM:
-        return Mat3.zero(exact=exact)
-    if kind == FormKind.RANK3_DIAG:
-        _require_nonzero(*p)
-        return Mat3.diag(*p)
-    if kind == FormKind.RANK3_ONE_BLOCK:
-        _require_nonzero(*p)
-        l1, l2 = p
-        return Mat3([[l1, z, z], [z, l2 + i1, one], [z, one, l2 - i1]])
-    if kind == FormKind.RANK3_BIG_BLOCK:
-        _require_nonzero(*p)
-        (lam,) = p
-        d3 = d_k_block(3)
-        rows = [
-            [
-                lam if i == j else (d3[i][j] if exact else d3[i][j].to_complex())
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        return Mat3(rows)
-    if kind == FormKind.RANK2_DIAG:
-        _require_nonzero(*p)
-        return Mat3.diag(p[0], p[1], z)
-    if kind == FormKind.RANK2_BLOCK:
-        _require_nonzero(*p)
-        (lam,) = p
-        return Mat3([[lam + i1, one, z], [one, lam - i1, z], [z, z, z]])
-    if kind == FormKind.RANK2_NILP:
-        _require_nonzero(*p)
-        (lam,) = p
-        return Mat3([[lam, z, z], [z, i1, one], [z, one, -i1]])
-    if kind == FormKind.RANK2_BIG_NILP:
-        d3 = d_k_block(3)
-        return Mat3([list(r) for r in d3])
-    if kind == FormKind.RANK1_DIAG:
-        _require_nonzero(*p)
-        return Mat3.diag(p[0], z, z)
-    if kind == FormKind.RANK1_NILP:
-        return Mat3([[i1, one, z], [one, -i1, z], [z, z, z]])
-    raise ValueError(f"unknown form kind {kind!r}")
+    nonzero, zero = _JORDAN_TYPE[f.kind]
+    rows = [[z] * 3 for _ in range(3)]
+    at = 0
+    for lam, k in zip([*f.params] + [z] * len(zero), nonzero + zero):
+        d = d_k_block(k)
+        for i in range(k):
+            for j in range(k):
+                x = d[i][j] if exact else d[i][j].to_complex()
+                if i == j:
+                    # lam is left as given where D_k's diagonal is zero, so
+                    # mixed exact and floating parameters reach Mat3's check
+                    x = lam + x if x else lam
+                rows[at + i][at + j] = x
+        at += k
+    return Mat3(rows)
 
 
 def _require_symmetric(S: Mat3, tol: float) -> None:
@@ -216,100 +182,36 @@ def _require_symmetric(S: Mat3, tol: float) -> None:
         raise NotSymmetric("input is not symmetric at the tolerance")
 
 
-def _sort_key(z: complex):
-    return (z.real, z.imag)
-
-
 def classify_symmetric(S: Mat3, tol: float = DEFAULT_SYM_TOL) -> SymCanonicalForm:
     """Identify the unique canonical form orthogonally similar to ``S``.
 
-    Clusters the eigenvalues, reads off the Jordan block structure and maps
-    it to the single list entry with the same Jordan type.  Diagonal-form
-    parameters are sorted by (real, imag); signed coordinate permutations
-    lie in SO(3,C), so the orderings are congruent.
+    Clusters the eigenvalues, reads off the Jordan blocks and looks their
+    type up in the table of forms.  The blocks at nonzero eigenvalues are
+    sorted by size, then by the (real, imag) of their eigenvalue, which
+    gives the parameter order; signed coordinate permutations lie in
+    SO(3,C), so the orderings of equal-size blocks are congruent.
     """
     _require_symmetric(S, tol)
-    Sf = S.to_floating()
-    sig = jordan_signature(Sf, tol)
+    sig = jordan_signature(S.to_floating(), tol)
 
-    zero_blocks: tuple = ()
-    nonzero: list[tuple[complex, tuple]] = []
+    zero: tuple = ()
+    nonzero: list[tuple[int, complex]] = []
     for lam, blocks in sig.entries:
-        lamc = complex(lam)
-        if abs(lamc) <= tol:
-            zero_blocks = blocks
+        lam = complex(lam)
+        if abs(lam) <= tol:
+            zero = blocks
         else:
-            nonzero.append((lamc, blocks))
-    nonzero.sort(key=lambda e: _sort_key(e[0]))
+            nonzero.extend((k, lam) for k in blocks)
+    nonzero.sort(key=lambda e: (e[0], e[1].real, e[1].imag))
 
-    result = _form_from_blocks(zero_blocks, nonzero)
-    if result is None:
-        # every Jordan structure of a symmetric matrix is in the lists, so
-        # an unmatched one can only come from a tolerance failure
+    kind = _KIND_OF_TYPE.get((tuple(k for k, _ in nonzero), zero))
+    if kind is None:
+        # every Jordan type of a symmetric matrix is in the table, so an
+        # unmatched one can only come from a tolerance failure
         raise IllConditioned(
             f"Jordan structure {sig.entries!r} matches no symmetric canonical form"
         )
-    return result
-
-
-def _form_from_blocks(zero_blocks, nonzero) -> SymCanonicalForm | None:
-    if not nonzero:
-        if zero_blocks in ((), (1, 1, 1)):
-            return form(FormKind.ZERO_FORM)
-        if zero_blocks == (2, 1):
-            return form(FormKind.RANK1_NILP)
-        if zero_blocks == (3,):
-            return form(FormKind.RANK2_BIG_NILP)
-        return None
-
-    if not zero_blocks:
-        lams = []
-        for lam, blocks in nonzero:
-            if blocks == (1,):
-                lams.append([lam])
-            elif blocks == (1, 1):
-                lams.append([lam, lam])
-            elif blocks == (1, 1, 1):
-                lams.append([lam, lam, lam])
-            elif blocks == (2,):
-                lams.append(None)
-            elif blocks == (2, 1):
-                # one size-2 block plus a simple eigenvalue at the same value
-                return form(FormKind.RANK3_ONE_BLOCK, lam, lam)
-            elif blocks == (3,):
-                return form(FormKind.RANK3_BIG_BLOCK, lam)
-            else:
-                return None
-        if any(l is None for l in lams):
-            defective = [lam for (lam, blocks) in nonzero if blocks == (2,)]
-            simple = [lam for (lam, blocks) in nonzero if blocks == (1,)]
-            if len(defective) == 1 and len(simple) == 1:
-                return form(FormKind.RANK3_ONE_BLOCK, simple[0], defective[0])
-            return None
-        flat = sorted((x for group in lams for x in group), key=_sort_key)
-        if len(flat) == 3:
-            return form(FormKind.RANK3_DIAG, *flat)
-        return None
-
-    if zero_blocks == (1,):
-        if len(nonzero) == 2 and all(b == (1,) for _, b in nonzero):
-            return form(FormKind.RANK2_DIAG, nonzero[0][0], nonzero[1][0])
-        if len(nonzero) == 1:
-            lam, blocks = nonzero[0]
-            if blocks == (1, 1):
-                return form(FormKind.RANK2_DIAG, lam, lam)
-            if blocks == (2,):
-                return form(FormKind.RANK2_BLOCK, lam)
-        return None
-    if zero_blocks == (2,):
-        if len(nonzero) == 1 and nonzero[0][1] == (1,):
-            return form(FormKind.RANK2_NILP, nonzero[0][0])
-        return None
-    if zero_blocks == (1, 1):
-        if len(nonzero) == 1 and nonzero[0][1] == (1,):
-            return form(FormKind.RANK1_DIAG, nonzero[0][0])
-        return None
-    return None
+    return form(kind, *(lam for _, lam in nonzero))
 
 
 def find_orthogonal_similarity(

@@ -7,6 +7,7 @@ from postlie_sl2 import mateq, so3c
 from postlie_sl2.cli import VERIFY_K_SAMPLES as K_SAMPLES
 from postlie_sl2.linalg import EXACT, GaussianRational, IM, Mat3, Vec3
 from postlie_sl2.sl2 import LIE_BRACKET, IdentityViolation, bracket
+from postlie_sl2.symcanon import FormKind, form
 
 
 def gr(re, im=0):
@@ -29,6 +30,31 @@ FIVE_TAGS = (
     mateq.FamilyTag.k_family(IM),
     mateq.FamilyTag.non_sym_rank1(),
 )
+
+
+#: one sample of each symmetric canonical form, with distinct eigenvalues
+SAMPLE_FORMS = [
+    form(FormKind.RANK3_DIAG, 1, 2, 3),
+    form(FormKind.RANK3_ONE_BLOCK, 1, 2),
+    form(FormKind.RANK3_BIG_BLOCK, 1),
+    form(FormKind.RANK2_DIAG, 1, 2),
+    form(FormKind.RANK2_BLOCK, 1),
+    form(FormKind.RANK2_NILP, 1),
+    form(FormKind.RANK2_BIG_NILP),
+    form(FormKind.RANK1_DIAG, 1),
+    form(FormKind.RANK1_NILP),
+    form(FormKind.ZERO_FORM),
+]
+
+#: forms with one nonzero eigenvalue carrying several Jordan blocks
+REPEATED_EIGENVALUE_FORMS = [
+    form(FormKind.RANK3_DIAG, 2, 2, 2),
+    form(FormKind.RANK3_DIAG, 1, 1, 2),
+    form(FormKind.RANK3_DIAG, 1, 2, 2),
+    form(FormKind.RANK3_ONE_BLOCK, 2, 2),
+    form(FormKind.RANK2_DIAG, 3, 3),
+]
+
 
 def sampled_tags():
     """The five families with the KFamily parameter swept over K_SAMPLES."""

@@ -20,9 +20,9 @@ from postlie_sl2.linalg import (
 )
 from postlie_sl2.mateq import FamilyKind, FamilyTag, representative
 from postlie_sl2.sl2 import check_postlie, check_rota_baxter, circ_from_matrix
-from postlie_sl2.symcanon import FormKind, canonical_matrix, classify_symmetric, form
+from postlie_sl2.symcanon import canonical_matrix, classify_symmetric
 
-from conftest import exact_congruate, finite_difference_jacobian, sampled_tags
+from conftest import SAMPLE_FORMS, exact_congruate, finite_difference_jacobian, sampled_tags
 
 
 def report(n, text):
@@ -215,20 +215,6 @@ def test_criterion_8_automorphism_lemma():
         checked += 1
         assert not so3c.automorphism_check(T)
     report(8, "200 orthogonal + 100 adjoint images pass; 200 non-orthogonal fail")
-
-
-SAMPLE_FORMS = [
-    form(FormKind.RANK3_DIAG, 1, 2, 3),
-    form(FormKind.RANK3_ONE_BLOCK, 1, 2),
-    form(FormKind.RANK3_BIG_BLOCK, 1),
-    form(FormKind.RANK2_DIAG, 1, 2),
-    form(FormKind.RANK2_BLOCK, 1),
-    form(FormKind.RANK2_NILP, 1),
-    form(FormKind.RANK2_BIG_NILP),
-    form(FormKind.RANK1_DIAG, 1),
-    form(FormKind.RANK1_NILP),
-    form(FormKind.ZERO_FORM),
-]
 
 
 def test_criterion_9_symmetric_canonical_forms():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from postlie_sl2 import mateq, so3c
-from postlie_sl2.linalg import IM, Mat3, jordan_signature
+from postlie_sl2.linalg import FLOATING, IM, Mat3, jordan_signature
 from postlie_sl2.symcanon import (
     FormKind,
     InvalidParameter,
@@ -16,21 +16,26 @@ from postlie_sl2.symcanon import (
     form,
 )
 
-from conftest import gr
+from conftest import REPEATED_EIGENVALUE_FORMS, SAMPLE_FORMS, gr
 
 
-SAMPLE_FORMS = [
-    form(FormKind.RANK3_DIAG, 1, 2, 3),
-    form(FormKind.RANK3_ONE_BLOCK, 1, 2),
-    form(FormKind.RANK3_BIG_BLOCK, 1),
-    form(FormKind.RANK2_DIAG, 1, 2),
-    form(FormKind.RANK2_BLOCK, 1),
-    form(FormKind.RANK2_NILP, 1),
-    form(FormKind.RANK2_BIG_NILP),
-    form(FormKind.RANK1_DIAG, 1),
-    form(FormKind.RANK1_NILP),
-    form(FormKind.ZERO_FORM),
-]
+def _form_id(f):
+    """The kind for a sample form; the kind and parameters for a repeat."""
+    if f in SAMPLE_FORMS:
+        return f.kind.value
+    return "-".join([f.kind.value, *map(str, f.params)])
+
+
+ROUND_TRIP_FORMS = SAMPLE_FORMS + REPEATED_EIGENVALUE_FORMS
+
+
+def form_params(kind):
+    """Distinct nonzero, non-real exact parameters, as many as ``kind`` takes."""
+    count = next(len(f.params) for f in SAMPLE_FORMS if f.kind == kind)
+    return [gr(Fraction(n, 2), -n) for n in range(1, count + 1)]
+
+
+PARAMETRISED_KINDS = [k for k in FormKind if form_params(k)]
 
 
 class TestDkBlocks:
@@ -90,6 +95,25 @@ class TestCanonicalMatrix:
         assert M == M.transpose()
         assert M.rank() == f.rank
 
+    @pytest.mark.parametrize("kind", PARAMETRISED_KINDS, ids=lambda k: k.value)
+    def test_floating_parameters_give_the_exact_matrix(self, kind):
+        exact = canonical_matrix(form(kind, *form_params(kind)))
+        floating = canonical_matrix(form(kind, *(p.to_complex() for p in form_params(kind))))
+        assert floating.kind == FLOATING
+        assert (floating.to_numpy() == exact.to_numpy()).all()
+
+
+class TestParameterCount:
+    @pytest.mark.parametrize("kind", list(FormKind), ids=lambda k: k.value)
+    def test_one_too_many(self, kind):
+        with pytest.raises(ValueError):
+            form(kind, *form_params(kind), 1)
+
+    @pytest.mark.parametrize("kind", PARAMETRISED_KINDS, ids=lambda k: k.value)
+    def test_one_too_few(self, kind):
+        with pytest.raises(ValueError):
+            form(kind, *form_params(kind)[1:])
+
 
 class TestUniqueness:
     def test_jordan_signatures_pairwise_distinct(self):
@@ -132,12 +156,12 @@ class TestClassifySymmetric:
         assert f.kind == FormKind.RANK2_BLOCK
         assert f.close_to(form(FormKind.RANK2_BLOCK, Fraction(-1, 2)), 1e-9)
 
-    @pytest.mark.parametrize("f", SAMPLE_FORMS, ids=lambda f: f.kind.value)
+    @pytest.mark.parametrize("f", ROUND_TRIP_FORMS, ids=_form_id)
     def test_round_trip(self, f):
         got = classify_symmetric(canonical_matrix(f))
         assert got.close_to(f, 1e-6)
 
-    @pytest.mark.parametrize("f", SAMPLE_FORMS, ids=lambda f: f.kind.value)
+    @pytest.mark.parametrize("f", ROUND_TRIP_FORMS, ids=_form_id)
     def test_stable_under_orthogonal_similarity(self, f):
         M = canonical_matrix(f).to_floating()
         for seed in range(10):
