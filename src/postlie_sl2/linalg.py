@@ -15,8 +15,9 @@ Vectors are *row* coordinate vectors throughout: a linear map with matrix
 
 Floating ranks have one rule, :func:`rank_decisions`: singular values
 above ``tol * max(sigma_max, floor)`` count.  ``Mat3.rank``, the
-classifier and the congruence nullspaces all read it.  Floating
-eigenvalues come from ``np.linalg.eigvals``.
+classifier, the Jordan signatures and the congruence nullspaces all read
+it.  Floating eigenvalues come from ``np.linalg.eigvals``; eigenvalues
+and Jordan signatures are floating only.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently without locks.
@@ -271,10 +272,6 @@ def _coerce_scalars(values, where="entries"):
     return tuple(out), EXACT
 
 
-def _zero(kind):
-    return GaussianRational(0) if kind == EXACT else 0j
-
-
 def _one(kind):
     return GaussianRational(1) if kind == EXACT else 1 + 0j
 
@@ -322,10 +319,6 @@ class Vec3:
 
     def scale(self, s):
         return Vec3([s * a for a in self.coords])
-
-    def dot(self, other):
-        x, y = self.coords, other.coords
-        return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
     def cross(self, other):
         """Cross product of the coordinate triples."""
@@ -650,7 +643,11 @@ def eigenvalues(A: Mat3) -> tuple[complex, complex, complex]:
     ``np.linalg.eigvals``, sorted by ``(real, imag)`` for determinism."""
     if A.kind != FLOATING:
         raise TypeError("eigenvalues needs a floating matrix; use to_floating()")
-    vals = np.linalg.eigvals(A.to_numpy()).tolist()
+    return _sorted_eigenvalues(A.to_numpy())
+
+
+def _sorted_eigenvalues(a: np.ndarray) -> tuple:
+    vals = np.linalg.eigvals(a).tolist()
     return tuple(sorted(vals, key=lambda z: (z.real, z.imag)))
 
 
@@ -675,13 +672,13 @@ class JordanSignature:
         return True
 
 
-def jordan_signature(A: Mat3, tol: float = DEFAULT_JORDAN_TOL, eigvals=None) -> JordanSignature:
-    """Cluster the eigenvalues of ``A`` and determine Jordan block sizes.
+def jordan_signature(A: Mat3, tol: float = DEFAULT_JORDAN_TOL) -> JordanSignature:
+    """Cluster the eigenvalues of a floating ``A`` and determine Jordan
+    block sizes.
 
     Block sizes for eigenvalue ``lam`` come from the ranks of
-    ``(A - lam*I)**p`` for ``p = 1..multiplicity``.  Exact matrices are
-    supported when all eigenvalues are Gaussian rational and passed in via
-    ``eigvals``.
+    ``(A - lam*I)**p`` for ``p = 1..multiplicity``.  Exact matrices raise
+    ``TypeError``, as in :func:`eigenvalues`.
 
     The clustering threshold is the larger of ``tol`` and
     ``EIG_CLUSTER_FLOOR`` times the matrix scale, since eigenvalues of a
@@ -689,38 +686,24 @@ def jordan_signature(A: Mat3, tol: float = DEFAULT_JORDAN_TOL, eigvals=None) -> 
     sensitivity of float64.  Raises :class:`IllConditioned` when two
     clusters are separated by less than ten times that threshold.
     """
-    if A.kind == EXACT:
-        if eigvals is None:
-            raise TypeError("exact jordan_signature needs explicit eigenvalues")
-        vals = [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in eigvals]
-        if len(vals) != 3:
-            raise ValueError("need exactly 3 eigenvalues")
-        clusters: dict = {}
-        for v in vals:
-            clusters.setdefault(v, []).append(v)
-        items = [(lam, len(vs)) for lam, vs in clusters.items()]
-        rank_tol = None
-    else:
-        vals = list(eigvals) if eigvals is not None else list(eigenvalues(A))
-        if len(vals) != 3:
-            raise ValueError("need exactly 3 eigenvalues")
-        scale = max(1.0, float(np.linalg.norm(A.to_numpy(), 2)))
-        eff_tol = max(tol, EIG_CLUSTER_FLOOR * scale)
-        groups = _cluster(vals, eff_tol)
-        gap = _min_intercluster_gap(groups)
-        if gap < JORDAN_AMBIGUITY_FACTOR * eff_tol:
-            raise IllConditioned(
-                f"eigenvalue clusters separated by {gap:.3e} < "
-                f"{JORDAN_AMBIGUITY_FACTOR * eff_tol:.3e}"
-            )
-        items = [(sum(g) / len(g), len(g)) for g in groups]
-        rank_tol = tol
-
+    if A.kind != FLOATING:
+        raise TypeError("jordan_signature needs a floating matrix; use to_floating()")
+    a = A.to_numpy()
+    vals = _sorted_eigenvalues(a)
+    scale = max(1.0, float(np.linalg.norm(a, 2)))
+    eff_tol = max(tol, EIG_CLUSTER_FLOOR * scale)
+    groups = _cluster(vals, eff_tol)
+    gap = _min_intercluster_gap(groups)
+    if gap < JORDAN_AMBIGUITY_FACTOR * eff_tol:
+        raise IllConditioned(
+            f"eigenvalue clusters separated by {gap:.3e} < "
+            f"{JORDAN_AMBIGUITY_FACTOR * eff_tol:.3e}"
+        )
     entries = []
-    for lam, mult in items:
-        sizes = _block_sizes(A, lam, mult, rank_tol)
-        entries.append((lam, sizes))
-    entries.sort(key=lambda e: (complex(e[0]).real, complex(e[0]).imag))
+    for g in groups:
+        lam = sum(g) / len(g)
+        entries.append((lam, _block_sizes(a, lam, len(g), tol)))
+    entries.sort(key=lambda e: (e[0].real, e[0].imag))
     return JordanSignature(tuple(entries))
 
 
@@ -752,19 +735,22 @@ def _min_intercluster_gap(groups):
     return gap
 
 
-def _block_sizes(A: Mat3, lam, mult: int, rank_tol) -> tuple:
-    shifted = A - Mat3.identity_like(A).scale(lam)
-    # powers of a nilpotent part are numerically noise; a floating rank
-    # threshold is floored at the matching power of the shifted matrix's
-    # scale, and an exact rank ignores the floor
-    scale = 1.0
-    if A.kind == FLOATING:
-        scale = max(float(np.linalg.norm(shifted.to_numpy(), 2)), 1.0)
-    ranks = [3]
-    power = shifted
-    for p in range(1, mult + 1):
-        ranks.append(power.rank(rank_tol, scale**p))
-        power = power @ shifted
+def _block_sizes(a: np.ndarray, lam: complex, mult: int, tol: float) -> tuple:
+    """Jordan block sizes of ``lam`` in the complex (3,3) array ``a``, from
+    the ranks of the powers of ``a - lam*I``, decided with one batched SVD.
+
+    Powers of a nilpotent part are numerically noise, so the rank
+    threshold of power p is floored at the p-th power of the shifted
+    matrix's scale, its largest singular value and at least 1.
+    """
+    shifted = a - np.eye(3, dtype=complex) * lam
+    powers = [shifted]
+    for _ in range(1, mult):
+        powers.append(powers[-1] @ shifted)
+    sv = np.linalg.svd(np.stack(powers), compute_uv=False)
+    scale = max(float(sv[0, 0]), 1.0)
+    floors = np.array([scale**p for p in range(1, mult + 1)])
+    ranks = [3] + [rank for rank, _, _ in rank_decisions(sv, tol, floors)]
     return _sizes_from_ranks(ranks, mult, lam)
 
 

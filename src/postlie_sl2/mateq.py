@@ -371,13 +371,14 @@ def _witness_from_start(
     if abs(det + 1) <= tol:
         S = -S  # odd dimension: -S is orthogonal with determinant +1
         det = np.linalg.det(S)
-    if abs(det - 1) > tol:
-        return None
-    if np.linalg.norm(S.T @ S - np.eye(3)) > tol:
-        return None
-    if np.linalg.norm(S.T @ Af @ S - Bf) > tol:
-        return None
-    return S
+    # each check must pass, so a defect that is NaN rejects the witness
+    if (
+        abs(det - 1) <= tol
+        and np.linalg.norm(S.T @ S - np.eye(3)) <= tol
+        and np.linalg.norm(S.T @ Af @ S - Bf) <= tol
+    ):
+        return S
+    return None
 
 
 def congruence_test(
@@ -404,19 +405,22 @@ def congruence_test(
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     Af, Bf = A.to_numpy(), B.to_numpy()
-    if float(np.linalg.norm(Af - Bf)) <= tol:
-        return CongruenceVerdict.congruent(Mat3.identity(exact=False))
+    # entries near the float range overflow to inf or nan, which no check
+    # accepts; the overflow is not worth a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if float(np.linalg.norm(Af - Bf)) <= tol:
+            return CongruenceVerdict.congruent(Mat3.identity(exact=False))
 
-    basis, separating = _separating_nullities(Af, Bf)
-    if separating is not None:
-        return CongruenceVerdict.not_congruent(separating)
-    if not basis:
-        return CongruenceVerdict.unknown(0)
-    stack = np.stack(basis)
-    for start in range(budget):
-        S = _witness_from_start(stack, Af, Bf, seed, start, tol)
-        if S is not None:
-            return CongruenceVerdict.congruent(Mat3.from_numpy(S))
+        basis, separating = _separating_nullities(Af, Bf)
+        if separating is not None:
+            return CongruenceVerdict.not_congruent(separating)
+        if not basis:
+            return CongruenceVerdict.unknown(0)
+        stack = np.stack(basis)
+        for start in range(budget):
+            S = _witness_from_start(stack, Af, Bf, seed, start, tol)
+            if S is not None:
+                return CongruenceVerdict.congruent(Mat3.from_numpy(S))
     return CongruenceVerdict.unknown(budget)
 
 
@@ -484,14 +488,14 @@ def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
     A = np.asarray(A, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         res_norm = np.linalg.norm(residual_array(A), axis=(-2, -1))
+        # summed left to right as Mat3.trace does, so k = tr(A) + 1 is the same
+        trace = A[:, 0, 0] + A[:, 1, 1] + A[:, 2, 2]
+        at_minus_2 = np.abs(trace + 2) <= tol
     solution = res_norm < tol
     sv = np.linalg.svd(A, compute_uv=False)
     scale = np.maximum(sv[:, 0], 1.0)
     decisions = [{RANK_A: triple} for triple in rank_decisions(sv, tol, 1.0)]
     rank_a = np.array([got[RANK_A][0] for got in decisions], dtype=int)
-    # summed left to right as Mat3.trace does, so k = tr(A) + 1 is the same
-    trace = A[:, 0, 0] + A[:, 1, 1] + A[:, 2, 2]
-    at_minus_2 = np.abs(trace + 2) <= tol
 
     # the second ranks, each only on the rows whose branch reads it
     At = np.swapaxes(A, -1, -2)

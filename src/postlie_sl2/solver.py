@@ -193,7 +193,6 @@ def _solve_rows(
     A0: np.ndarray,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_NEWTON_TOL,
-    classify_tol: float = mateq.DEFAULT_CLASSIFY_TOL,
 ) -> list[SolveResult]:
     """One :class:`SolveResult` per row of a complex (N,3,3) array of starts;
     the converged rows are classified together by :func:`mateq.classify_stack`,
@@ -206,7 +205,7 @@ def _solve_rows(
     converged = norm < tol
     classifications = [None] * len(A)
     rows = np.flatnonzero(converged)
-    for row, report in zip(rows.tolist(), mateq.classify_stack(A[rows], classify_tol)):
+    for row, report in zip(rows.tolist(), mateq.classify_stack(A[rows])):
         if isinstance(report, mateq.ClassificationReport):
             classifications[row] = report
     return [
@@ -227,7 +226,6 @@ def newton_solve(
     A0: Mat3,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_NEWTON_TOL,
-    classify_tol: float = mateq.DEFAULT_CLASSIFY_TOL,
 ) -> SolveResult:
     """Damped Newton iteration on the 9 complex entries: the one-row call
     of the batched kernel.
@@ -237,7 +235,7 @@ def newton_solve(
     along the parametrized family, so this happens at legitimate roots).
     Non-convergence is reported in the result, never raised.
     """
-    return _solve_rows(A0.to_numpy()[None], max_iter, tol, classify_tol)[0]
+    return _solve_rows(A0.to_numpy()[None], max_iter, tol)[0]
 
 
 def _seeded_starts(seed: int, indices, radius: float) -> np.ndarray:
@@ -259,7 +257,6 @@ def multistart(
     radius: float = DEFAULT_RADIUS,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_NEWTON_TOL,
-    classify_tol: float = mateq.DEFAULT_CLASSIFY_TOL,
 ) -> SurveyReport:
     """Run Newton from seeded random starts and tally the families found.
 
@@ -278,9 +275,7 @@ def multistart(
     for lo in range(0, n_starts, BLOCK_ROWS):
         indices = range(lo, min(lo + BLOCK_ROWS, n_starts))
         starts = _seeded_starts(seed, indices, radius)
-        for index, result in zip(
-            indices, _solve_rows(starts, max_iter, tol, classify_tol)
-        ):
+        for index, result in zip(indices, _solve_rows(starts, max_iter, tol)):
             iterations += result.iterations
             regularised += result.regularised_steps
             stalls += result.stalled

@@ -100,19 +100,21 @@ class TestClassify:
         assert sigma / threshold == pytest.approx(0.1, rel=1e-6)
 
     def test_overflowing_residual_is_not_a_solution(self, capsys, tmp_path):
-        # the residual overflows to nan: exit 1, valid JSON, nothing on stderr
-        A = Mat3.diag(1e200 + 0j, 1e200 + 0j, 1 + 0j)
-        path = write_matrix(tmp_path, "m.json", A)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["classify", path])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err == ""
-        doc = json.loads(captured.out)
-        assert doc["status"] == "violation"
-        assert doc["payload"]["error"] == "NotASolution"
-        assert "not finite" in doc["payload"]["detail"]
+        # the residual overflows to nan, and at 1e308 the trace to inf too:
+        # exit 1, valid JSON, nothing on stderr
+        for x in (1e200, 1e308):
+            A = Mat3.diag(x + 0j, x + 0j, 1 + 0j)
+            path = write_matrix(tmp_path, "m.json", A)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["classify", path])
+            captured = capsys.readouterr()
+            assert code == 1, x
+            assert captured.err == ""
+            doc = json.loads(captured.out)
+            assert doc["status"] == "violation"
+            assert doc["payload"]["error"] == "NotASolution"
+            assert "not finite" in doc["payload"]["detail"]
 
     def test_exact_reports_no_margins(self, capsys, tmp_path):
         path = write_matrix(tmp_path, "m.json", representative(FamilyTag.k_family(5)))
@@ -275,6 +277,20 @@ class TestOrbitTest:
         assert code == 0
         assert doc["payload"]["verdict"] == "congruent"
         assert "witness" in doc["payload"]
+
+    def test_overflowing_witness_check_is_not_congruent(self, capsys, tmp_path):
+        # T'AT - I overflows to nan for every candidate T; a nan defect must
+        # not verify a witness, and no overflow warning reaches stderr
+        A = Mat3([[1e308, 1e308, 0.0], [0.0, 1e308, 0.0], [0.0, 0.0, 1.0]])
+        a = write_matrix(tmp_path, "a.json", A)
+        b = write_matrix(tmp_path, "b.json", Mat3.identity(exact=False))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["orbit-test", a, b, "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["payload"]["verdict"] != "congruent"
 
     def test_seed_required(self, capsys, tmp_path):
         a = write_matrix(tmp_path, "a.json", Mat3.zero())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postlie_sl2 import so3c
 from postlie_sl2.linalg import (
     EXACT,
     GaussianRational,
@@ -486,10 +487,16 @@ class TestJordanSignature:
         with pytest.raises(IllConditioned):
             jordan_signature(A, 1e-6)
 
-    def test_exact_path(self):
-        A = Mat3.diag(1, 1, 2)
-        sig = jordan_signature(A, eigvals=[gr(1), gr(1), gr(2)])
-        assert sig.entries == ((gr(1), (1, 1)), (gr(2), (1,)))
+    @pytest.mark.parametrize("blocks", [(3,), (2, 1)])
+    def test_blocks_at_a_non_real_eigenvalue(self, blocks):
+        # lam*I plus a nilpotent part with the given blocks, in a rotated basis
+        lam = 2 + 1j
+        N = np.diag([1.0, 1.0 if blocks == (3,) else 0.0], k=1)
+        T = so3c.random_so3(4).to_numpy()
+        sig = jordan_signature(Mat3.from_numpy(T.T @ (lam * np.eye(3) + N) @ T))
+        assert len(sig.entries) == 1
+        mean, found = sig.entries[0]
+        assert abs(mean - lam) < 1e-9 and found == blocks
 
     def test_exact_needs_eigenvalues(self):
         with pytest.raises(TypeError):

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -307,6 +308,13 @@ class TestClassify:
         assert abs(np.linalg.det(W) - 1) <= 1e-8
         assert np.linalg.norm(W.T @ rep @ W - B.to_numpy()) <= 1e-8
 
+    def test_overflowing_trace_is_not_a_solution(self):
+        # at 1e308 tr(A) overflows as well as the residual; no warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotASolution, match="not finite"):
+                classify(Mat3.diag(1e308 + 0j, 1e308 + 0j, 1 + 0j))
+
     def test_near_zero_is_zero_family(self):
         A = Mat3.from_numpy(1e-12 * np.random.default_rng(0).standard_normal((3, 3)))
         assert classify(A).tag == FamilyTag.zero()
@@ -479,6 +487,17 @@ class TestCongruenceTest:
         assert np.linalg.norm(W.T @ W - np.eye(3)) <= 1e-8
         assert abs(np.linalg.det(W) - 1) <= 1e-8
         assert np.linalg.norm(W.T @ A.to_numpy() @ W - B.to_numpy()) <= 1e-8
+
+    def test_nan_witness_defect_is_not_congruent(self):
+        # at 1e308 T'AT - I overflows to nan for every candidate T, and a nan
+        # defect must not verify a witness; at 1e307 the nullspace dimensions
+        # still separate the pair
+        for x in (1e307, 1e308):
+            A = Mat3([[x, x, 0.0], [0.0, x, 0.0], [0.0, 0.0, 1.0]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                v = congruence_test(A, Mat3.identity(exact=False))
+            assert v.status != "congruent", x
 
     def test_deterministic(self):
         A = representative(FamilyTag.trace_minus_2()).to_floating()
