@@ -41,6 +41,7 @@ __all__ = [
     "JordanSignature",
     "IllConditioned",
     "rank_decisions",
+    "numerator_vectors",
     "eigenvalues",
     "jordan_signature",
 ]
@@ -111,6 +112,11 @@ class GaussianRational:
         self.num_re = r.numerator * (d // r.denominator)
         self.num_im = i.numerator * (d // i.denominator)
         self.den = d
+
+    @classmethod
+    def from_numerators(cls, re: int, im: int, den: int) -> "GaussianRational":
+        """``(re + im*i) / den`` for plain ints and ``den > 0``, reduced once."""
+        return _reduced(re, im, den)
 
     @property
     def re(self) -> Fraction:
@@ -521,10 +527,6 @@ class Mat3(_SquareMatrix):
         z = 0 if not isinstance(a, (float, complex)) else 0j
         return cls([[a, z, z], [z, b, z], [z, z, c]])
 
-    @classmethod
-    def identity_like(cls, other: "Mat3") -> "Mat3":
-        return cls.identity(exact=other.kind == EXACT)
-
     def row(self, i) -> Vec3:
         return Vec3(self.rows[i])
 
@@ -608,6 +610,21 @@ def rank_decisions(sv, tol: float, floor) -> list:
         nearest = min(row, key=lambda x: abs(math.log(x) - log_t) if x > 0 else math.inf)
         out.append((rank, nearest, threshold))
     return out
+
+
+def numerator_vectors(scalars, exact: bool):
+    """Consecutive triples of scalars as vectors of (re, im) pairs over one
+    positive common denominator D; returns the vectors and D.  Exact
+    scalars become plain ints over the lcm of their denominators, so a
+    polynomial of degree p in them is an int pair over D**p; floating
+    scalars become float pairs over D = 1.0."""
+    if exact:
+        D = math.lcm(*(z.den for z in scalars))
+        pairs = [(z.num_re * (D // z.den), z.num_im * (D // z.den)) for z in scalars]
+    else:
+        D = 1.0
+        pairs = [(z.real, z.imag) for z in scalars]
+    return tuple(tuple(pairs[n : n + 3]) for n in range(0, len(pairs), 3)), D
 
 
 def _exact_rank(rows) -> int:

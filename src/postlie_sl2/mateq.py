@@ -1,18 +1,18 @@
 """The matrix equation A'((tr A + 1) I - A) = A* and its solution classes.
 
-Provides the residual of the equation, on a ``Mat3`` (the exact path
-and the reference) and on complex (3,3) arrays or stacks of them (the one
-floating kernel, which every floating decision reads); the five canonical solution
-families; the SO(3,C) congruence action; a congruence decision procedure
-(the nullspace dimensions of the similarity equations for (A, A), (A, B)
-and (B, B) decide non-congruence; otherwise a witness is built as the
-orthogonal polar factor of a simultaneous similarity of (A, A') and
-(B, B')); and the classifier that maps a solution to its family.  The
-classifier has one decision tree from invariants to a family.  Exact
-input reaches it through exact ``Mat3`` arithmetic; floating input, one
-matrix or a whole stack, through one stacked pass that computes
-residuals, traces and ranks with batched SVDs and reports how close each
-rank decision came to its threshold.
+Provides the residual of the equation, on a ``Mat3`` (on numerators over
+one common denominator) and on complex (3,3) arrays or stacks of them (the
+one floating kernel, which every floating decision reads); the five
+canonical solution families; the SO(3,C) congruence action; a congruence
+decision procedure (the nullspace dimensions of the similarity equations
+for (A, A), (A, B) and (B, B) decide non-congruence; otherwise a witness
+is built as the orthogonal polar factor of a simultaneous similarity of
+(A, A') and (B, B')); and the classifier that maps a solution to its
+family.  The classifier has one decision tree from invariants to a
+family.  Exact input reaches it through an integer zero test and exact
+ranks; floating input, one matrix or a whole stack, through one stacked
+pass that computes residuals, traces and ranks with batched SVDs and
+reports how close each rank decision came to its threshold.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import so3c
 from ._numpy import np
-from .linalg import EXACT, GaussianRational, Mat3, rank_decisions
+from .linalg import EXACT, GaussianRational, Mat3, numerator_vectors, rank_decisions
 
 __all__ = [
     "FamilyKind",
@@ -160,16 +160,43 @@ class CongruenceVerdict:
 # the equation
 
 
-def residual(A: Mat3) -> Mat3:
-    """A'((tr A + 1) I - A) - A*; zero exactly on matrices of PostLie products."""
-    I = Mat3.identity_like(A)
-    s = A.trace() + 1
-    return A.transpose() @ (I.scale(s) - A) - A.adjugate()
-
-
 #: rows (and columns) i+1 and i+2, cyclically, for i = 0, 1, 2
 _NEXT = [1, 2, 0]
 _AFTER = [2, 0, 1]
+
+
+def _residual_numerators(A: Mat3):
+    """R D**2 = N'((tr N + D) I - N) - adj(N) for A = N / D, on the (re, im)
+    pairs of :func:`linalg.numerator_vectors`, as rows of pairs, and D."""
+    N, D = numerator_vectors([x for row in A.rows for x in row], A.kind == EXACT)
+    t_re = N[0][0][0] + N[1][1][0] + N[2][2][0] + D
+    t_im = N[0][0][1] + N[1][1][1] + N[2][2][1]
+    columns = [(N[0][j], N[1][j], N[2][j]) for j in range(3)]
+    rows = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            # minus the cofactor, the 2x2 minor of N' as in residual_array
+            (a, b), (c, d) = N[_AFTER[j]][_NEXT[i]], N[_NEXT[j]][_AFTER[i]]
+            (e, f), (g, h) = N[_NEXT[j]][_NEXT[i]], N[_AFTER[j]][_AFTER[i]]
+            re, im = a * c - b * d - e * g + f * h, a * d + b * c - e * h - f * g
+            # minus the sum over k of N[k][i] (N[k][j] - [k = j] (tr N + D))
+            for k, ((p, q), (u, w)) in enumerate(zip(columns[i], columns[j])):
+                if k == j:
+                    u, w = u - t_re, w - t_im
+                re -= p * u - q * w
+                im -= p * w + q * u
+            row.append((re, im))
+        rows.append(row)
+    return rows, D
+
+
+def residual(A: Mat3) -> Mat3:
+    """A'((tr A + 1) I - A) - A*; zero exactly on matrices of PostLie products."""
+    R, D = _residual_numerators(A)
+    if A.kind == EXACT:
+        return Mat3([[GaussianRational.from_numerators(*z, D * D) for z in row] for row in R])
+    return Mat3([[complex(*z) for z in row] for row in R])
 
 
 def residual_array(A: np.ndarray) -> np.ndarray:
@@ -195,7 +222,7 @@ def is_solution(A: Mat3, tol: float = DEFAULT_SOLUTION_TOL) -> bool:
     :func:`residual_array` is below ``tol``, which a residual that
     overflows to inf or nan never is."""
     if A.kind == EXACT:
-        return residual(A).is_zero()
+        return not any(re or im for row in _residual_numerators(A)[0] for re, im in row)
     with np.errstate(over="ignore", invalid="ignore"):
         return bool(np.linalg.norm(residual_array(A.to_numpy())) < tol)
 
@@ -282,11 +309,6 @@ def congruate(A: Mat3, T: Mat3, tol: float = DEFAULT_WITNESS_TOL) -> Mat3:
 # congruence decision procedure
 
 
-def _shifted_sym_rank(A: Mat3) -> int:
-    """rank(sym(A) + I/2) of an exact matrix."""
-    return (A.sym_part() + Mat3.identity().scale(GaussianRational(Fraction(1, 2)))).rank()
-
-
 def _nullspace_sylvester(
     Af: np.ndarray, Bf: np.ndarray
 ) -> tuple[list[np.ndarray], bool]:
@@ -298,13 +320,20 @@ def _nullspace_sylvester(
     B for each S in it.  The dimension is the nullity by the rule of
     :func:`linalg.rank_decisions` at tol 1e-10 and floor 1; it is decided
     when the singular value nearest the cutoff lies a factor
-    ``NULLITY_GAP`` or more away from it.
+    ``NULLITY_GAP`` or more away from it.  A system that is not finite, or
+    whose SVD fails or overflows (entries near the float range), gives no
+    basis and an undecided dimension.
     """
     I = np.eye(3)
     M = np.vstack(
         [np.kron(Af, I) - np.kron(I, Bf.T), np.kron(Af.T, I) - np.kron(I, Bf)]
     )
-    _, sv, vh = np.linalg.svd(M)
+    try:
+        _, sv, vh = np.linalg.svd(M)
+    except np.linalg.LinAlgError:  # no convergence near the float range
+        return [], False
+    if not (np.isfinite(M).all() and np.isfinite(sv).all()):
+        return [], False
     rank, nearest, cutoff = rank_decisions(sv[None], 1e-10, 1.0)[0]
     basis = [vh[idx].conj().reshape(3, 3) for idx in range(rank, 9)]
     decided = nearest <= cutoff / NULLITY_GAP or nearest >= cutoff * NULLITY_GAP
@@ -548,11 +577,12 @@ def classify(
     true solutions.
     """
     if A.kind == EXACT:
-        if not residual(A).is_zero():
+        if any(re or im for row in _residual_numerators(A)[0] for re, im in row):
             raise NotASolution("matrix equation residual is nonzero")
         ranks = {
             RANK_A: A.rank,
-            RANK_SHIFTED_SYM: lambda: _shifted_sym_rank(A),
+            # twice sym(A) + I/2, of the same exact rank
+            RANK_SHIFTED_SYM: lambda: (A + A.transpose() + Mat3.identity()).rank(),
             RANK_ATA: lambda: (A.transpose() @ A).rank(),
         }
         t = A.trace()

@@ -13,11 +13,10 @@ which suffices by bilinearity, and report every violation they find.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import EXACT, FLOATING, GaussianRational, Mat2, Mat3, Vec3
+from .linalg import EXACT, FLOATING, GaussianRational, Mat2, Mat3, Vec3, numerator_vectors
 
 __all__ = [
     "StructureConstants",
@@ -204,9 +203,13 @@ def matrix_from_circ(c: StructureConstants, tol: float = 1e-9) -> Mat3:
 # common denominator D per call.  A product of two scalars then sits at
 # D**2, so a linear term is multiplied by D to bring the whole identity to
 # one power of D, and an exact zero test is an integer test.  Floating
-# scalars run the same loops as float pairs over D = 1.0.  A triple of
-# pairs is a coordinate vector; a triple of those, a 3x3 matrix acting on
-# row vectors.
+# scalars run the same loops as float pairs over D = 1.0 (both from
+# ``linalg.numerator_vectors``).  A triple of pairs is a coordinate vector;
+# a triple of those, a 3x3 matrix acting on row vectors.  postlie-3 is
+# antisymmetric in (b, d), postlie-4 in (a, b) and rota-baxter in (i, j), so
+# exact mode contracts only the instances with b < d, a < b or i < j: it
+# negates them for the mirrored instances and gives zero on the diagonal.
+# Floating mode contracts every instance: a negation rounds unlike a sum.
 
 #: ``_BRACKET[i][j]`` holds the coordinates of [e_i, e_j]
 _BRACKET = tuple(
@@ -218,24 +221,6 @@ _BRACKET = tuple(
 )
 _ONE = ((1, 0),)
 _ZERO = ((0, 0), (0, 0), (0, 0))
-
-
-def _integer_vectors(scalars, exact):
-    """Consecutive triples of scalars as vectors of (re, im) pairs over
-    one positive common denominator D; returns the vectors and D.
-
-    Exact scalars become plain ints over the lcm of their denominators;
-    floating scalars become float pairs over D = 1.0.
-    """
-    if exact:
-        D = math.lcm(*(z.den for z in scalars))
-        pairs = [
-            (z.num_re * (D // z.den), z.num_im * (D // z.den)) for z in scalars
-        ]
-    else:
-        D = 1.0
-        pairs = [(z.real, z.imag) for z in scalars]
-    return tuple(tuple(pairs[n : n + 3]) for n in range(0, len(pairs), 3)), D
 
 
 def _times(v, s):
@@ -295,7 +280,7 @@ def _violations(defects, D, exact, tol):
             if r == _ZERO:
                 continue
             s = D**power
-            residual = Vec3([GaussianRational(re, im) / s for re, im in r])
+            residual = Vec3([GaussianRational.from_numerators(re, im, s) for re, im in r])
         else:
             residual = Vec3([complex(re, im) for re, im in r])
             if not residual.max_abs() > tol:
@@ -307,31 +292,41 @@ def _violations(defects, D, exact, tol):
 def _table_form(c: StructureConstants):
     """The table as ``C[i][j]``, the vector of e_i o e_j, with its D."""
     exact = c.kind == EXACT
-    vecs, D = _integer_vectors([x for row in c.table for v in row for x in v], exact)
+    vecs, D = numerator_vectors([x for row in c.table for v in row for x in v], exact)
     return (vecs[0:3], vecs[3:6], vecs[6:9]), D, exact
 
 
-def _postlie_defects(C, D):
-    # C[d] is the matrix of x -> e_d o x, _column(C, a) that of x -> x o e_a
+def _postlie_defects(C, D, exact):
+    # C[d] is the matrix of x -> e_d o x, right[a] that of x -> x o e_a
+    right = [_column(C, a) for a in range(3)]
+    right_bracket = [_column(_BRACKET, a) for a in range(3)]
+    neg = [[_times(v, -1) for v in row] for row in C]
+    bracket_d = [[_times(v, D) for v in row] for row in _BRACKET]
+    three, four = {}, {}
     for a in range(3):
-        right_a = _column(C, a)
         for b in range(3):
             for d in range(3):
-                # z o (y o x) - y o (z o x) + (y o z) o x - (z o y) o x + [y,z] o x
-                r = _contract(
-                    (C[b][a], C[d]),
-                    (_times(C[d][a], -1), C[b]),
-                    (C[b][d], right_a),
-                    (_times(C[d][b], -1), right_a),
-                    (_times(_BRACKET[b][d], D), right_a),
-                )
+                if exact and b >= d:
+                    r = _ZERO if b == d else _times(three[a, d, b], -1)
+                else:
+                    # z o (y o x) - y o (z o x) + (y o z) o x - (z o y) o x + [y,z] o x
+                    r = three[a, b, d] = _contract(
+                        (C[b][a], C[d]),
+                        (neg[d][a], C[b]),
+                        (C[b][d], right[a]),
+                        (neg[d][b], right[a]),
+                        (bracket_d[b][d], right[a]),
+                    )
                 yield "postlie-3", (a + 1, b + 1, d + 1), 2, r
-                # z o [x,y] - [z o x, y] - [x, z o y]
-                r = _contract(
-                    (_BRACKET[a][b], C[d]),
-                    (_times(C[d][a], -1), _column(_BRACKET, b)),
-                    (C[d][b], _column(_BRACKET, a)),
-                )
+                if exact and a >= b:
+                    r = _ZERO if a == b else _times(four[b, a, d], -1)
+                else:
+                    # z o [x,y] - [z o x, y] - [x, z o y]
+                    r = four[a, b, d] = _contract(
+                        (_BRACKET[a][b], C[d]),
+                        (neg[d][a], right_bracket[b]),
+                        (C[d][b], right_bracket[a]),
+                    )
                 yield "postlie-4", (a + 1, b + 1, d + 1), 1, r
 
 
@@ -344,7 +339,7 @@ def check_postlie(c: StructureConstants, tol: float = 1e-9) -> list[IdentityViol
     mode).
     """
     C, D, exact = _table_form(c)
-    return _violations(_postlie_defects(C, D), D, exact, tol)
+    return _violations(_postlie_defects(C, D, exact), D, exact, tol)
 
 
 def derived_bracket(c: StructureConstants) -> StructureConstants:
@@ -381,19 +376,24 @@ def check_jacobi(b: StructureConstants, tol: float = 1e-9) -> list[IdentityViola
     return _violations(_jacobi_defects(B), D, exact, tol)
 
 
-def _rota_baxter_defects(F, D):
+def _rota_baxter_defects(F, D, exact):
     # F[i] is f(e_i), row i of A
+    ads = [_ad(v) for v in F]
+    unit_d = ((D, 0),)
+    found = {}
     for i in range(3):
         for j in range(3):
-            ad_fj = _ad(F[j])
-            # [f(e_i), e_j] + [e_i, f(e_j)] + [e_i, e_j], at D
-            inner = _contract(
-                (F[i], _column(_BRACKET, j)),
-                (_ONE, (ad_fj[i],)),
-                (((D, 0),), (_BRACKET[i][j],)),
-            )
-            # [f(e_i), f(e_j)] - f(inner), at D**2
-            r = _contract((F[i], ad_fj), (_times(inner, -1), F))
+            if exact and i >= j:
+                r = _ZERO if i == j else _times(found[j, i], -1)
+            else:
+                # [f(e_i), e_j] + [e_i, f(e_j)] + [e_i, e_j], at D
+                inner = _contract(
+                    (F[i], _column(_BRACKET, j)),
+                    (_ONE, (ads[j][i],)),
+                    (unit_d, (_BRACKET[i][j],)),
+                )
+                # [f(e_i), f(e_j)] - f(inner), at D**2
+                r = found[i, j] = _contract((F[i], ads[j]), (_times(inner, -1), F))
             yield "rota-baxter", (i + 1, j + 1), 2, r
 
 
@@ -401,8 +401,8 @@ def check_rota_baxter(A: Mat3, tol: float = 1e-9) -> list[IdentityViolation]:
     """Check on all basis pairs that f given by the rows of A satisfies
     [f(x),f(y)] = f([f(x),y] + [x,f(y)] + [x,y])."""
     exact = A.kind == EXACT
-    F, D = _integer_vectors([x for row in A.rows for x in row], exact)
-    return _violations(_rota_baxter_defects(F, D), D, exact, tol)
+    F, D = numerator_vectors([x for row in A.rows for x in row], exact)
+    return _violations(_rota_baxter_defects(F, D, exact), D, exact, tol)
 
 
 def _validate_fixed_bracket() -> bool:

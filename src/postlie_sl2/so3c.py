@@ -58,7 +58,7 @@ def is_special_orthogonal(T: Mat3, tol: float = 1e-8) -> bool:
 
 def cayley(K: Mat3) -> Mat3:
     """Cayley transform (I - K)^-1 (I + K); lands in SO(3,C) for antisymmetric K."""
-    I = Mat3.identity_like(K)
+    I = Mat3.identity(exact=K.kind == EXACT)
     return (I - K).inverse() @ (I + K)
 
 

@@ -292,6 +292,20 @@ class TestOrbitTest:
         assert captured.err == ""
         assert json.loads(captured.out)["payload"]["verdict"] != "congruent"
 
+    def test_svd_failure_near_float_range_is_unknown(self, capsys, tmp_path):
+        # the nullspace SVD does not converge on this pair; the honest
+        # answer is unknown, with exit 0 and nothing on stderr
+        A = Mat3([[1e308, 1e308, 0.0], [1e308, -1e308, 0.0], [0.0, 0.0, 1.0]])
+        a = write_matrix(tmp_path, "a.json", A)
+        b = write_matrix(tmp_path, "b.json", Mat3.identity(exact=False))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["orbit-test", a, b, "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["payload"]["verdict"] == "unknown"
+
     def test_seed_required(self, capsys, tmp_path):
         a = write_matrix(tmp_path, "a.json", Mat3.zero())
         code, doc = run(capsys, "orbit-test", a, a)

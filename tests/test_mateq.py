@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -28,13 +29,23 @@ from postlie_sl2.symcanon import (
 )
 
 from conftest import (
+    ReferenceGaussianRational,
     exact_congruate,
     gr,
     half,
     ihalf,
     reference_classify_floating,
+    reference_residual,
     sampled_tags,
 )
+
+
+def _reference_entries(A: Mat3):
+    return [[ReferenceGaussianRational(x.re, x.im) for x in row] for row in A.rows]
+
+
+#: primes whose product exceeds 2**64 several times over
+_BIG_PRIMES = (2**61 - 1, 2**31 - 1, 10**9 + 7, 998244353, 2**89 - 1)
 
 
 class TestResidual:
@@ -48,6 +59,43 @@ class TestResidual:
     def test_identity(self):
         # I (4I - I) - I = 2I
         assert residual(Mat3.identity()) == Mat3.identity().scale(gr(2))
+
+    def test_large_common_denominator_matches_reference(self):
+        # the integer numerators sit over a common denominator far beyond
+        # 2**64; zero and purely imaginary entries are mixed in
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            entries = []
+            for kind in rng.integers(0, 3, 9):  # zero, purely imaginary, general
+                p = Fraction(int(rng.integers(-10**6, 10**6)), int(rng.choice(_BIG_PRIMES)))
+                q = Fraction(int(rng.integers(-10**6, 10**6)), int(rng.choice(_BIG_PRIMES)))
+                entries.append((gr(0), gr(0, q), gr(p, q))[kind])
+            A = Mat3([entries[0:3], entries[3:6], entries[6:9]])
+            assert math.lcm(*(x.den for x in entries)) > 2**64
+            assert _reference_entries(residual(A)) == reference_residual(_reference_entries(A))
+
+    def test_floating_matches_array_kernel(self):
+        rng = np.random.default_rng(12)
+        for scale in (1e-6, 1e-2, 1.0, 1e3, 1e8):
+            for _ in range(10):
+                A = scale * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+                got = residual(Mat3.from_numpy(A)).to_numpy()
+                n = np.linalg.norm(A, 2)
+                assert np.linalg.norm(got - mateq.residual_array(A)) <= 1e-12 * (n * n + n + 1)
+
+    def test_exact_classify_fails_exactly_on_nonzero_reference_residual(self):
+        nudge = Mat3.diag(0, gr(Fraction(1, 2**61 - 1), Fraction(-2, 89)), 0)
+        for n, tag in enumerate(sampled_tags()):
+            A = exact_congruate(tag, 60 + n)
+            for M in (A, A + nudge, A + nudge.scale(IM)):
+                ref = reference_residual(_reference_entries(M))
+                nonzero = any(x for row in ref for x in row)
+                assert is_solution(M) is not nonzero
+                if nonzero:
+                    with pytest.raises(NotASolution, match="nonzero"):
+                        classify(M)
+                else:
+                    assert classify(M).tag.kind == tag.kind
 
 
 class TestIsSolution:
@@ -498,6 +546,18 @@ class TestCongruenceTest:
                 warnings.simplefilter("error")
                 v = congruence_test(A, Mat3.identity(exact=False))
             assert v.status != "congruent", x
+
+    def test_svd_failure_near_float_range_is_unknown(self):
+        # the (A, A) system overflows and its SVD does not converge: the
+        # dimensions are undecided, so the verdict is unknown, not an error
+        A = Mat3([[1e308, 1e308, 0.0], [1e308, -1e308, 0.0], [0.0, 0.0, 1.0]])
+        Af = A.to_numpy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert mateq._nullspace_sylvester(Af, Af) == ([], False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = congruence_test(A, Mat3.identity(exact=False))
+        assert v.status == "unknown"
 
     def test_deterministic(self):
         A = representative(FamilyTag.trace_minus_2()).to_floating()

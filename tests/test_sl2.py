@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -326,3 +327,66 @@ class TestReferenceOracle:
                 for tol in (below, above):
                     _assert_floating_match(check(arg, tol=tol), reference(arg, tol=tol))
                 assert len(reference(arg, tol=below)) > len(reference(arg, tol=above))
+
+
+def _dense_exact_table(rng):
+    e = [
+        GaussianRational(Fraction(int(p), int(d)), Fraction(int(q), int(d)))
+        for p, q, d in zip(rng.integers(-9, 10, 27), rng.integers(-9, 10, 27), rng.integers(1, 12, 27))
+    ]
+    return StructureConstants(
+        [[Vec3(e[9 * i + 3 * j : 9 * i + 3 * j + 3]) for j in range(3)] for i in range(3)]
+    )
+
+
+def _dense_exact_matrix(rng):
+    return Mat3([list(v) for v in _dense_exact_table(rng).table[0]])
+
+
+def _diagonal(v):
+    """Whether ``v`` is an instance that vanishes identically: b = d for
+    postlie-3, a = b for postlie-4 and i = j for rota-baxter."""
+    i = v.indices
+    return i[1] == i[2] if v.identity == "postlie-3" else i[0] == i[1]
+
+
+class TestIndependentInstances:
+    """Exact mode contracts only the independent instances and reads the
+    mirrored ones as negated defects; the lists stay the oracle's."""
+
+    def test_all_off_diagonal_instances_fail_as_in_the_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(15):
+            c = _dense_exact_table(rng)
+            got = check_postlie(c)
+            assert len(got) == 36
+            assert got == reference_check_postlie(c)
+            A = _dense_exact_matrix(rng)
+            got = check_rota_baxter(A)
+            assert len(got) == 6
+            assert got == reference_check_rota_baxter(A)
+
+    def test_mirrored_instances_are_exact_negations(self):
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            by_index = {(v.identity, v.indices): v.residual for v in check_postlie(_dense_exact_table(rng))}
+            for a, b, d in itertools.product(range(1, 4), repeat=3):
+                if b != d:
+                    assert by_index["postlie-3", (a, d, b)] == -by_index["postlie-3", (a, b, d)]
+                if a != b:
+                    assert by_index["postlie-4", (b, a, d)] == -by_index["postlie-4", (a, b, d)]
+            by_index = {v.indices: v.residual for v in check_rota_baxter(_dense_exact_matrix(rng))}
+            for i, j in itertools.permutations(range(1, 4), 2):
+                assert by_index[j, i] == -by_index[i, j]
+
+    def test_no_diagonal_instance_is_reported(self):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            c = _dense_exact_table(rng)
+            A = _dense_exact_matrix(rng)
+            cases = [check_postlie(c), check_rota_baxter(A)]
+            # floating mode contracts the diagonal too, and it cancels exactly
+            cases += [check_postlie(c.to_floating(), tol=0.0), check_rota_baxter(A.to_floating(), tol=0.0)]
+            for violations in cases:
+                assert violations
+                assert not [v for v in violations if _diagonal(v)]
