@@ -11,11 +11,12 @@ Randomized commands require an explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
 from . import mateq, serialize, so3c, solver
-from .linalg import EXACT, GaussianRational, IM, Mat3
+from .linalg import GaussianRational, IM
 from .sl2 import check_postlie, check_rota_baxter, circ_from_matrix
 
 OK, VIOLATION, ERROR = 0, 1, 2
@@ -94,21 +95,17 @@ def verify_canon(corrupt: dict | None = None):
             found = None
         classified.append((tag, found))
 
-    pairs_checked = 0
-    pairwise_ok = True
-    separations = []
-    for i, (tag_a, found_a) in enumerate(classified):
-        for tag_b, found_b in classified[i + 1:]:
-            pairs_checked += 1
-            if found_a is None or found_b is None or found_a == found_b:
-                pairwise_ok = False
-                separations.append(
-                    {"pair": [tag_a.kind.value, tag_b.kind.value], "separating_invariant": None}
-                )
+    pairs = list(itertools.combinations(classified, 2))
+    separations = [
+        {"pair": [tag_a.kind.value, tag_b.kind.value], "separating_invariant": None}
+        for (tag_a, found_a), (tag_b, found_b) in pairs
+        if found_a is None or found_b is None or found_a == found_b
+    ]
+    pairwise_ok = not separations
     ok = ok and pairwise_ok
     payload = {
         "families": entries,
-        "pairs_checked": pairs_checked,
+        "pairs_checked": len(pairs),
         "pairwise_noncongruent": pairwise_ok,
     }
     if separations:
@@ -169,8 +166,7 @@ def cmd_search(args):
 
 def cmd_random_so3(args):
     T = so3c.random_so3(args.seed)
-    gram_defect = (T.transpose() @ T - Mat3.identity(exact=False)).frobenius_norm()
-    det_defect = abs(complex(T.det()) - 1)
+    gram_defect, det_defect = so3c.membership_defects(T)
     return OK, {
         "matrix": serialize.matrix_to_json(T),
         "orthogonality_residual": gram_defect,
@@ -182,15 +178,9 @@ def cmd_random_so3(args):
 def cmd_adjoint_rep(args):
     P = serialize.mat2_from_json(_load_json(args.file))
     T = so3c.adjoint_rep(P)
-    if T.kind == EXACT:
-        gram_defect = 0.0 if so3c.is_special_orthogonal(T) else float("nan")
-    else:
-        gram_defect = (
-            T.transpose() @ T - Mat3.identity(exact=False)
-        ).frobenius_norm()
     return OK, {
         "matrix": serialize.matrix_to_json(T),
-        "orthogonality_residual": gram_defect,
+        "orthogonality_residual": so3c.membership_defects(T)[0],
     }
 
 

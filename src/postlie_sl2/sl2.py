@@ -58,10 +58,6 @@ def bracket(x: Vec3, y: Vec3) -> Vec3:
     return x.cross(y)
 
 
-def _basis(kind):
-    return tuple(Vec3.basis(i, exact=kind == EXACT) for i in range(3))
-
-
 class StructureConstants:
     """A bilinear product stored as the 27 coefficients of e_i o e_j.
 
@@ -108,15 +104,6 @@ class StructureConstants:
         return f"StructureConstants({[[list(v.coords) for v in row] for row in self.table]!r})"
 
 
-def _bracket_constants(exact=True) -> StructureConstants:
-    es = _basis(EXACT if exact else FLOATING)
-    return StructureConstants([[bracket(ei, ej) for ej in es] for ei in es])
-
-
-#: structure constants of the fixed Lie bracket
-LIE_BRACKET = _bracket_constants(exact=True)
-
-
 def bracket_via_2x2(x: Vec3, y: Vec3) -> Vec3:
     """Compute [x, y] through the 2x2 traceless-matrix realization.
 
@@ -157,30 +144,37 @@ def _embed_2x2(v: Vec3) -> Mat2:
     return e1.scale(v[0]) + e2.scale(v[1]) + e3.scale(v[2])
 
 
+def _ad(w, n, z):
+    """Rows [e_m, w]: the matrix of x -> [x, w], given the coordinates w,
+    their negations n and a zero z."""
+    (w0, w1, w2), (n0, n1, n2) = w, n
+    return (z, n2, w1), (w2, z, n0), (n1, w0, z)
+
+
 def circ_from_matrix(A: Mat3) -> StructureConstants:
-    """The product x o y = [f(x), y] where f maps e_i to row i of A."""
-    es = _basis(A.kind)
-    return StructureConstants(
-        [[bracket(A.row(i), es[j]) for j in range(3)] for i in range(3)]
-    )
+    """The product x o y = [f(x), y] where f maps e_i to row i of A.
+
+    Row i of the table is the matrix of y -> [f(e_i), y] = -[y, f(e_i)], so
+    each entry is an entry of A, its negation or zero.
+    """
+    zero = GaussianRational(0) if A.kind == EXACT else 0j
+    return StructureConstants([_ad([-x for x in f], f, zero) for f in A.rows])
+
+
+#: structure constants of the fixed Lie bracket: x o y = [x, y] for f = id
+LIE_BRACKET = circ_from_matrix(Mat3.identity())
 
 
 def matrix_from_circ(c: StructureConstants, tol: float = 1e-9) -> Mat3:
     """Recover the unique A with ``circ_from_matrix(A) == c``.
 
-    Row i is solved from the linear system [f_i, e_j] = e_i o e_j, j=1..3;
-    the bracket relations pin f_i coordinate by coordinate and the remaining
-    equations are consistency checks.  Raises :class:`NotAdjointForm` when
-    the system is inconsistent (exactly in exact mode, beyond ``tol`` in
-    floating mode).
+    Row i is read off the entries of row i of the table where
+    ``circ_from_matrix`` places f(e_i); the rest of the table is a
+    consistency check.  Raises :class:`NotAdjointForm` when it fails
+    (exactly in exact mode, beyond ``tol`` in floating mode).
     """
-    rows = []
-    for i in range(3):
-        ci1, ci2, ci3 = (c.product(i, j) for j in range(3))
-        # [f, e1] = (0, f3, -f2), [f, e2] = (-f3, 0, f1), [f, e3] = (f2, -f1, 0)
-        f = Vec3([ci2[2], ci3[0], ci1[1]])
-        rows.append(f.coords)
-    A = Mat3(rows)
+    # [f, e1] = (0, f3, -f2), [f, e2] = (-f3, 0, f1), [f, e3] = (f2, -f1, 0)
+    A = Mat3([(c2[2], c3[0], c1[1]) for c1, c2, c3 in c.table])
     back = circ_from_matrix(A)
     if c.kind == EXACT:
         if back != c:
@@ -211,14 +205,6 @@ def matrix_from_circ(c: StructureConstants, tol: float = 1e-9) -> Mat3:
 # negates them for the mirrored instances and gives zero on the diagonal.
 # Floating mode contracts every instance: a negation rounds unlike a sum.
 
-#: ``_BRACKET[i][j]`` holds the coordinates of [e_i, e_j]
-_BRACKET = tuple(
-    tuple(
-        tuple(((i - j) * (j - k) * (k - i) // 2, 0) for k in range(3))
-        for j in range(3)
-    )
-    for i in range(3)
-)
 _ONE = ((1, 0),)
 _ZERO = ((0, 0), (0, 0), (0, 0))
 
@@ -261,12 +247,6 @@ def _column(C, j):
     return C[0][j], C[1][j], C[2][j]
 
 
-def _ad(w):
-    """Rows [e_m, w]: the matrix of x -> [x, w]."""
-    (w0, w1, w2), (n0, n1, n2), z = w, _times(w, -1), (0, 0)
-    return (z, n2, w1), (w2, z, n0), (n1, w0, z)
-
-
 def _violations(defects, D, exact, tol):
     """The failed instances among ``(identity, indices, power, r)``, where
     ``r / D**power`` is the defect vector.
@@ -294,6 +274,10 @@ def _table_form(c: StructureConstants):
     exact = c.kind == EXACT
     vecs, D = numerator_vectors([x for row in c.table for v in row for x in v], exact)
     return (vecs[0:3], vecs[3:6], vecs[6:9]), D, exact
+
+
+#: ``_BRACKET[i][j]`` holds the coordinates of [e_i, e_j] as int pairs
+_BRACKET = _table_form(LIE_BRACKET)[0]
 
 
 def _postlie_defects(C, D, exact):
@@ -378,7 +362,7 @@ def check_jacobi(b: StructureConstants, tol: float = 1e-9) -> list[IdentityViola
 
 def _rota_baxter_defects(F, D, exact):
     # F[i] is f(e_i), row i of A
-    ads = [_ad(v) for v in F]
+    ads = [_ad(v, _times(v, -1), (0, 0)) for v in F]
     unit_d = ((D, 0),)
     found = {}
     for i in range(3):
@@ -406,13 +390,13 @@ def check_rota_baxter(A: Mat3, tol: float = 1e-9) -> list[IdentityViolation]:
 
 
 def _validate_fixed_bracket() -> bool:
-    if check_jacobi(LIE_BRACKET):
-        return False
-    es = _basis(EXACT)
-    return (
-        bracket(es[1], es[2]) == es[0]
-        and bracket(es[2], es[0]) == es[1]
-        and bracket(es[0], es[1]) == es[2]
+    # LIE_BRACKET is a placement of entries: compare it with the cross
+    # product, which must give [e2, e3] = e1, [e3, e1] = e2, [e1, e2] = e3
+    es = [Vec3.basis(i) for i in range(3)]
+    return not check_jacobi(LIE_BRACKET) and all(
+        bracket(es[(i + 1) % 3], es[(i + 2) % 3]) == es[i]
+        and all(LIE_BRACKET.product(i, j) == bracket(es[i], es[j]) for j in range(3))
+        for i in range(3)
     )
 
 

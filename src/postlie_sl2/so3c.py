@@ -21,6 +21,7 @@ __all__ = [
     "NotOrthogonal",
     "Singular",
     "is_special_orthogonal",
+    "membership_defects",
     "cayley",
     "random_so3",
     "random_so3_exact",
@@ -47,13 +48,19 @@ class Singular(ZeroDivisionError):
     """A 2x2 matrix expected to be invertible has determinant zero."""
 
 
+def membership_defects(T: Mat3) -> tuple[float, float]:
+    """``(||T' T - I||_F, |det T - 1|)``, computed in T's own arithmetic, so
+    both read 0.0 for an exact T in SO(3,C)."""
+    I = Mat3.identity(exact=T.kind == EXACT)
+    return (T.transpose() @ T - I).frobenius_norm(), abs(complex(T.det() - 1))
+
+
 def is_special_orthogonal(T: Mat3, tol: float = 1e-8) -> bool:
     """True when T' T = I and det T = 1, exactly or to ``tol``."""
-    gram = T.transpose() @ T
     if T.kind == EXACT:
-        return gram == Mat3.identity() and T.det() == GaussianRational(1)
-    defect = (gram - Mat3.identity(exact=False)).frobenius_norm()
-    return defect <= tol and abs(complex(T.det()) - 1) <= tol
+        return T.transpose() @ T == Mat3.identity() and T.det() == GaussianRational(1)
+    gram_defect, det_defect = membership_defects(T)
+    return gram_defect <= tol and det_defect <= tol
 
 
 def cayley(K: Mat3) -> Mat3:

@@ -72,6 +72,10 @@ class TestBracket:
     def test_lie_bracket_constant_is_valid(self):
         assert not check_jacobi(LIE_BRACKET)
 
+    def test_lie_bracket_constant_is_the_bracket(self):
+        for i, j in itertools.product(range(3), repeat=2):
+            assert LIE_BRACKET.product(i, j) == bracket(E[i], E[j])
+
 
 class TestBracketVia2x2:
     def test_basis_pairs(self):
@@ -114,6 +118,23 @@ class TestCircFromMatrix:
             assert c.product(1, j) == bracket(f2, E[j])
             assert c.product(2, j) == bracket(f2, E[j])
 
+    @given(exact_mats)
+    def test_products_are_brackets(self, A):
+        c = circ_from_matrix(A)
+        for i, j in itertools.product(range(3), repeat=2):
+            assert c.product(i, j) == bracket(A.row(i), E[j])
+
+    def test_floating_products_are_brackets(self):
+        # products by 1 and 0 are exact, so == holds (it treats -0.0 as 0.0)
+        rng = np.random.default_rng(29)
+        Ef = [e.to_floating() for e in E]
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(20):
+                A = _floating_matrix(rng, scale)
+                c = circ_from_matrix(A)
+                for i, j in itertools.product(range(3), repeat=2):
+                    assert c.product(i, j) == bracket(A.row(i), Ef[j])
+
 
 class TestMatrixFromCirc:
     def test_zero(self):
@@ -122,6 +143,18 @@ class TestMatrixFromCirc:
     @given(exact_mats)
     def test_round_trip(self, A):
         assert matrix_from_circ(circ_from_matrix(A)) == A
+
+    def test_floating_round_trip_is_bitwise(self):
+        # about 30% of the real and imaginary parts are signed zeros; repr
+        # tells -0.0 from 0.0 and every other pair of distinct floats apart
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            re, im = rng.standard_normal((2, 3, 3))
+            for part in (re, im):
+                zeros = rng.random((3, 3)) < 0.3
+                part[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+            A = Mat3.from_numpy(re + 1j * im)
+            assert repr(matrix_from_circ(circ_from_matrix(A)).rows) == repr(A.rows)
 
     def test_not_adjoint_form(self):
         # [f, e1] is always orthogonal to e1 in coordinates, so no f works

@@ -34,6 +34,14 @@ class TestMembership:
     def test_signed_diag_det_minus_one(self):
         assert not is_special_orthogonal(Mat3.diag(1, 1, -1))
 
+    def test_defects_in_either_arithmetic(self):
+        # T'T - I = 3I and det T - 1 = 7 for T = 2I
+        for exact in (True, False):
+            assert so3c.membership_defects(Mat3.identity(exact=exact)) == (0.0, 0.0)
+            two = Mat3.identity(exact=exact).scale(2)
+            assert so3c.membership_defects(two) == pytest.approx((27**0.5, 7.0), rel=1e-15)
+        assert so3c.membership_defects(random_so3_exact(3)) == (0.0, 0.0)
+
 
 class TestCayley:
     def test_zero_gives_identity(self):
