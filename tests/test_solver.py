@@ -126,25 +126,46 @@ class TestBatchedKernel:
             assert row.residual_norm == single.residual_norm
 
     def test_failing_rows_leave_the_others_unchanged(self):
-        # start 199 of seed 2 at radius 5 runs out of iterations; a start
-        # whose residual overflows stalls; the identity converges exactly
+        # start 199 of seed 2 at radius 5 runs out of iterations; starts
+        # whose residual or Gram matrix J^H J overflows stall after one step
+        # and warn of nothing; the identity converges; the zero matrix is an
+        # exact root and takes no step
         out_of_iterations = solver._seeded_starts(2, [199], 5.0)
-        overflowing = np.full((1, 3, 3), 1e100, dtype=complex)
+        overflowing = np.array([1e100, 1e160, 1e300])[:, None, None] * np.ones((3, 3), complex)
         identity = np.eye(3, dtype=complex)[None]
+        zero = np.zeros((1, 3, 3), dtype=complex)
         mixed = np.concatenate(
-            [out_of_iterations, self.STARTS[:20], overflowing, identity, self.STARTS[20:]]
+            [out_of_iterations, self.STARTS[:20], overflowing, identity, zero, self.STARTS[20:]]
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = self.newton(mixed)
+        got = self.newton(mixed)
         want = self.newton(self.STARTS)
-        kept = np.r_[1:21, 23:43]
+        kept = np.r_[1:21, 26:46]
         for g, w in zip(got, want):
             assert np.array_equal(g[kept], w)
         _, norm, iterations, _, stalled = got
         assert not norm[0] < solver.DEFAULT_NEWTON_TOL
         assert iterations[0] == solver.DEFAULT_MAX_ITER and not stalled[0]
-        assert stalled[21] and not norm[21] < solver.DEFAULT_NEWTON_TOL
-        assert norm[22] == 0.0
+        for row in (21, 22, 23):
+            assert stalled[row] and iterations[row] == 1
+            assert not norm[row] < solver.DEFAULT_NEWTON_TOL
+        assert norm[24] < solver.DEFAULT_NEWTON_TOL and not stalled[24]
+        assert norm[25] == 0.0 and iterations[25] == 0
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, 3 + 1j])
+    def test_step_at_a_rank_deficient_root(self, k):
+        # the Jacobian at a KFamily root is singular along the orbit; one
+        # step from a small perturbation stays finite and takes the full
+        # step to a much smaller residual
+        root = representative(FamilyTag.k_family(k)).to_floating().to_numpy()
+        assert np.linalg.matrix_rank(solver._jacobian(root[None])[0]) < 9
+        rng = np.random.default_rng(11)
+        noise = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        A = (root + 1e-6 * noise)[None]
+        F = mateq.residual_array(A)
+        norm = np.linalg.norm(F, axis=(-2, -1))
+        A1, _, norm1, accepted, _ = solver._newton_step(A, F, norm)
+        assert accepted[0] and np.isfinite(A1).all()
+        assert norm1[0] <= 1e-4 * norm[0]
 
     def test_prefix_gives_the_same_rows(self):
         full = self.newton(self.STARTS)
@@ -165,6 +186,11 @@ class TestMultistart:
         assert set(report.family_histogram) <= allowed
         assert report.converged_count == sum(report.family_histogram.values())
         assert report.converged_count + report.failures == report.starts
+
+    def test_wide_radius_converges(self):
+        # the survey's radius-5 starts, as the benchmark runs them
+        report = solver.multistart(500, seed=1, radius=5.0)
+        assert report.converged_count >= 495
 
     def test_deterministic(self):
         a = solver.multistart(40, seed=7, radius=2.0)
