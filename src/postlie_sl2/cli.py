@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from . import mateq, serialize, so3c, solver
@@ -254,7 +255,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         code, payload = ERROR, {"message": str(exc)}
     report = {"command": command, "status": _STATUS[code], "payload": payload}
-    print(json.dumps(report))
+    try:
+        print(json.dumps(report), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point stdout at devnull
+        # so that the flush at exit writes nothing, and keep the exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -152,4 +152,7 @@ def survey_to_json(report):
         "iterations": report.iterations,
         "regularised_steps": report.regularised_steps,
         "stalls": report.stalls,
+        "iteration_histogram": {
+            str(steps): starts for steps, starts in report.iteration_histogram.items()
+        },
     }

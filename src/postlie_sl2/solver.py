@@ -6,18 +6,25 @@ classification and ``is_solution`` also read.  The residual map is
 polynomial, hence holomorphic, so each step solves one shifted 9x9
 complex normal-equations system per row with the analytic Jacobian; the
 18x18 real Jacobian over (real parts, imaginary parts) is a derived view
-of it.  Every operation of the kernel acts on each row alone, so a row's
-result does not depend on the other rows of its batch.  Starts are seeded
-individually from (master seed, start index); results do not depend on
-evaluation order or on how the starts are split into blocks.  The
-converged rows of a block are classified together by
+of it.  The Jacobians of a stack are gathered from one (N,28) array of
+M, S, A' and a zero column by five index tables, one per term of the
+derivative, and the line search tries all 21 dampings of a step in at
+most three residual calls.  Every operation of the kernel acts on each
+row alone, so a row's result does not depend on the other rows of its
+batch.  Starts are seeded individually from (master seed, start index);
+results do not depend on evaluation order or on how the starts are split
+into blocks.  The converged rows of a block are classified together by
 ``mateq.classify_stack``, the same floating classifier as
-``mateq.classify``; a ``Mat3`` is built only for each row's final point.
+``mateq.classify``; ``multistart`` tallies the kernel's arrays and the
+classifier's reports directly, and builds no ``Mat3``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import mateq
@@ -42,12 +49,18 @@ LM_SHIFT = 1e-14
 #: absolute floor of the shift, which keeps a zero Gram matrix solvable
 TIKHONOV_SHIFT = 1e-10
 MIN_DAMPING = 2.0**-20
+#: the line search's dampings 1, 1/2, ..., MIN_DAMPING, in batches of one
+#: residual call each: most rows that refuse the full step take 1/2 or 1/4,
+#: so a batch of four comes before the sixteen smallest
+_DAMPING_BATCHES = tuple(
+    tuple(2.0**-e for e in exponents) for exponents in (range(1), range(1, 5), range(5, 21))
+)
 #: extra Newton steps taken after the tolerance is reached, pushing roots to
 #: the attainable floor so downstream structural identities hold tightly
 POLISH_STEPS = 4
 #: starts per kernel call in a survey; keeps the survey's working memory
 #: independent of its number of starts
-BLOCK_ROWS = 64
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -76,6 +89,29 @@ class SurveyReport:
     regularised_steps: int
     #: starts whose line search ran out of damping before the tolerance
     stalls: int
+    #: {Newton iterations: starts that took that many}, in iteration order
+    iteration_histogram: dict
+
+
+def _gather_columns(i: int, j: int, p: int, q: int) -> tuple:
+    """Columns of the gathered stack (M, S, A' row-major, then a zero) that
+    the five terms of Jacobian entry ((i,j), (p,q)) read."""
+    return (
+        3 * p + j if i == q else 27,  # + d_iq M_pj
+        9 + 3 * i + j if p == q else 27,  # + d_pq S_ij
+        9 + 3 * i + p if j == q else 27,  # - d_jq S_ip
+        18 + 3 * j + q if i == p else 27,  # - d_ip A_qj
+        18 + 3 * p + q if i == j else 27,  # + d_ij A_qp
+    )
+
+
+@functools.cache
+def _jacobian_tables() -> np.ndarray:
+    """One gather table of 81 columns per term of the Jacobian, in term
+    order: a (5,81) index array, made on first use so that importing the
+    module does not load numpy."""
+    columns = [_gather_columns(*entry) for entry in itertools.product(range(3), repeat=4)]
+    return np.array(columns, dtype=np.intp).T.copy()
 
 
 def _jacobian(A: np.ndarray) -> np.ndarray:
@@ -85,22 +121,32 @@ def _jacobian(A: np.ndarray) -> np.ndarray:
     The derivative in direction E is
     E'M + tr(E)(A' + A - tI) - A'E - EA - AE + tE + tr(AE) I
     with t = tr A and M = (t + 1) I - A.  With S = A' + A - tI, the entry
-    ((i,j), (p,q)) is d_iq M_pj + d_pq S_ij - d_jq S_ip - d_ip A_qj + d_ij A_qp,
-    each term one broadcast over the axes (row, i, j, p, q).
+    ((i,j), (p,q)) is d_iq M_pj + d_pq S_ij - d_jq S_ip - d_ip A_qj + d_ij A_qp.
+    Each term is one gather from the rows of M, S and A' beside a zero
+    column, added in that order; ``take`` keeps the result C-contiguous,
+    the layout the Gram product and the solve expect.
     """
+    n = len(A)
     d = np.eye(3)
     t = np.trace(A, axis1=-2, axis2=-1)[:, None, None]
     At = np.swapaxes(A, -1, -2)
-    M = (t + 1) * d - A
-    S = At + A - t * d
-    J = (
-        np.swapaxes(M, -1, -2)[:, None, :, :, None] * d[:, None, None, :]
-        + S[:, :, :, None, None] * d
-        - S[:, :, None, :, None] * d[:, None, :]
-        - At[:, None, :, None, :] * d[:, None, :, None]
-        + At[:, None, None, :, :] * d[:, :, None, None]
+    V = np.concatenate(
+        [
+            ((t + 1) * d - A).reshape(n, 9),
+            (At + A - t * d).reshape(n, 9),
+            At.reshape(n, 9),
+            np.zeros((n, 1)),
+        ],
+        axis=1,
     )
-    return J.reshape(-1, 9, 9)
+    tables = _jacobian_tables()
+    J = V.take(tables[0], axis=1)
+    term = np.empty_like(J)
+    J += V.take(tables[1], axis=1, out=term, mode="clip")
+    J -= V.take(tables[2], axis=1, out=term, mode="clip")
+    J -= V.take(tables[3], axis=1, out=term, mode="clip")
+    J += V.take(tables[4], axis=1, out=term, mode="clip")
+    return J.reshape(n, 9, 9)
 
 
 def residual_jacobian(A: Mat3) -> np.ndarray:
@@ -127,20 +173,24 @@ def _newton_step(A: np.ndarray, F: np.ndarray, norm: np.ndarray):
     regularised = np.linalg.norm(J @ step + f, axis=(-2, -1)) > 1e-3 * norm
     step = step.reshape(n, 3, 3)
 
-    # halving line search per row: each row takes the first damping that
-    # lowers its own residual norm
+    # line search per row: each row takes the first damping of 1, 1/2, ...,
+    # MIN_DAMPING that lowers its own residual norm; the rows still pending
+    # try a whole batch of dampings in one residual call
     A, F, norm = A.copy(), F.copy(), norm.copy()
     pending = np.arange(n)
-    lam = 1.0
-    while lam >= MIN_DAMPING and pending.size:
-        A_try = A[pending] + lam * step[pending]
+    for dampings in _DAMPING_BATCHES:
+        if not pending.size:
+            break
+        lam = np.array(dampings)[:, None, None]
+        A_try = (A[pending, None] + lam * step[pending, None]).reshape(-1, 3, 3)
         F_try = residual_array(A_try)
         n_try = np.linalg.norm(F_try, axis=(-2, -1))
-        better = n_try < norm[pending]
-        rows = pending[better]
-        A[rows], F[rows], norm[rows] = A_try[better], F_try[better], n_try[better]
-        pending = pending[~better]
-        lam *= 0.5
+        better = n_try.reshape(pending.size, -1) < norm[pending, None]
+        took = better.any(axis=1)
+        trials = np.flatnonzero(took) * len(dampings) + better[took].argmax(axis=1)
+        rows = pending[took]
+        A[rows], F[rows], norm[rows] = A_try[trials], F_try[trials], n_try[trials]
+        pending = pending[~took]
     accepted = np.ones(n, dtype=bool)
     accepted[pending] = False
     return A, F, norm, accepted, regularised
@@ -154,6 +204,10 @@ def _newton(A0: np.ndarray, max_iter: int, tol: float):
     up to POLISH_STEPS further steps while they lower its norm.  Returns
     the arrays (A, norm, iterations, regularised steps, stalled).
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     # a start far out overflows its residual norm to inf; the row then
     # fails to converge and is counted, so the overflow is no error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -198,10 +252,6 @@ def _solve_rows(
     """One :class:`SolveResult` per row of a complex (N,3,3) array of starts;
     the converged rows are classified together by :func:`mateq.classify_stack`,
     and a row that fails to classify gets no classification."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
     A, norm, iterations, regularised, stalled = _newton(A0, max_iter, tol)
     converged = norm < tol
     classifications = [None] * len(A)
@@ -241,14 +291,12 @@ def newton_solve(
 def _seeded_starts(seed: int, indices, radius: float) -> np.ndarray:
     """Starts for the given indices, stacked; start ``index`` draws its
     entries uniformly over the complex disk of the given radius from
-    ``default_rng([seed, index])``."""
-    starts = np.empty((len(indices), 3, 3), dtype=complex)
-    for row, index in enumerate(indices):
-        rng = np.random.default_rng([seed, index])
-        u = rng.random(size=(3, 3))
-        theta = rng.random(size=(3, 3)) * 2 * np.pi
-        starts[row] = radius * np.sqrt(u) * np.exp(1j * theta)
-    return starts
+    ``default_rng([seed, index])``: 9 radii, then 9 angles."""
+    draws = np.array(
+        [np.random.default_rng([seed, index]).random(size=(2, 3, 3)) for index in indices]
+    )
+    u, theta = draws[:, 0], draws[:, 1] * 2 * np.pi
+    return radius * np.sqrt(u) * np.exp(1j * theta)
 
 
 def multistart(
@@ -260,10 +308,12 @@ def multistart(
 ) -> SurveyReport:
     """Run Newton from seeded random starts and tally the families found.
 
-    The starts are solved BLOCK_ROWS at a time by the batched kernel.
-    Every converged point must classify into one of the five families;
-    a converged point without a classification raises
-    :class:`mateq.Inconclusive`, signalling a tolerance failure.
+    The starts are solved BLOCK_ROWS at a time by the batched kernel, and
+    the survey is tallied from the kernel's arrays and the reports of
+    :func:`mateq.classify_stack`.  Every converged point must classify
+    into one of the five families; a converged point without a
+    classification raises :class:`mateq.Inconclusive`, signalling a
+    tolerance failure.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
@@ -271,34 +321,33 @@ def multistart(
         raise ValueError("radius must be finite and non-negative")
     histogram: dict[str, int] = {}
     k_values: list[complex] = []
-    converged_count = failures = iterations = regularised = stalls = 0
+    iteration_counts = Counter()
+    converged_count = regularised = stalls = 0
     for lo in range(0, n_starts, BLOCK_ROWS):
-        indices = range(lo, min(lo + BLOCK_ROWS, n_starts))
-        starts = _seeded_starts(seed, indices, radius)
-        for index, result in zip(indices, _solve_rows(starts, max_iter, tol)):
-            iterations += result.iterations
-            regularised += result.regularised_steps
-            stalls += result.stalled
-            if not result.converged:
-                failures += 1
-                continue
-            if result.classification is None:
+        starts = _seeded_starts(seed, range(lo, min(lo + BLOCK_ROWS, n_starts)), radius)
+        A, norm, iterations, reg, stalled = _newton(starts, max_iter, tol)
+        rows = np.flatnonzero(norm < tol)
+        for row, report in zip(rows.tolist(), mateq.classify_stack(A[rows])):
+            if not isinstance(report, mateq.ClassificationReport):
                 raise mateq.Inconclusive(
-                    f"converged point at start {index} failed to classify"
+                    f"converged point at start {lo + row} failed to classify"
                 )
-            converged_count += 1
-            tag = result.classification.tag
-            name = tag.kind.value
-            histogram[name] = histogram.get(name, 0) + 1
+            tag = report.tag
+            histogram[tag.kind.value] = histogram.get(tag.kind.value, 0) + 1
             if tag.kind == mateq.FamilyKind.K_FAMILY:
                 k_values.append(complex(tag.k))
+        converged_count += rows.size
+        iteration_counts.update(iterations.tolist())
+        regularised += int(reg.sum())
+        stalls += int(stalled.sum())
     return SurveyReport(
         starts=n_starts,
         converged_count=converged_count,
         family_histogram=histogram,
         k_values=k_values,
-        failures=failures,
-        iterations=iterations,
+        failures=n_starts - converged_count,
+        iterations=sum(steps * starts for steps, starts in iteration_counts.items()),
         regularised_steps=regularised,
         stalls=stalls,
+        iteration_histogram=dict(sorted(iteration_counts.items())),
     )

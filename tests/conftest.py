@@ -382,6 +382,57 @@ def converged_points():
     return [result for result in solver._solve_rows(starts) if result.converged]
 
 
+def reference_jacobian(A: np.ndarray) -> np.ndarray:
+    """The solver's Jacobians before they were gathered: entry ((i,j),(p,q))
+    d_iq M_pj + d_pq S_ij - d_jq S_ip - d_ip A_qj + d_ij A_qp, each term one
+    broadcast over the axes (row, i, j, p, q); shape (N,9,9)."""
+    d = np.eye(3)
+    t = np.trace(A, axis1=-2, axis2=-1)[:, None, None]
+    At = np.swapaxes(A, -1, -2)
+    M = (t + 1) * d - A
+    S = At + A - t * d
+    J = (
+        np.swapaxes(M, -1, -2)[:, None, :, :, None] * d[:, None, None, :]
+        + S[:, :, :, None, None] * d
+        - S[:, :, None, :, None] * d[:, None, :]
+        - At[:, None, :, None, :] * d[:, None, :, None]
+        + At[:, None, None, :, :] * d[:, :, None, None]
+    )
+    return J.reshape(-1, 9, 9)
+
+
+def reference_newton_step(A: np.ndarray, F: np.ndarray, norm: np.ndarray):
+    """The solver's Newton step before its line search was batched: the same
+    shifted normal-equations step on :func:`reference_jacobian`, then one
+    residual call per halving of the damping, from 1 down to MIN_DAMPING."""
+    from postlie_sl2 import solver
+
+    n = len(A)
+    J = reference_jacobian(A)
+    f = F.reshape(n, 9, 1)
+    JH = np.swapaxes(J.conj(), -1, -2)
+    G = JH @ J
+    shift = solver.LM_SHIFT * np.trace(G, axis1=-2, axis2=-1).real + solver.TIKHONOV_SHIFT
+    step = np.linalg.solve(G + shift[:, None, None] * np.eye(9), -JH @ f)
+    regularised = np.linalg.norm(J @ step + f, axis=(-2, -1)) > 1e-3 * norm
+    step = step.reshape(n, 3, 3)
+    A, F, norm = A.copy(), F.copy(), norm.copy()
+    pending = np.arange(n)
+    lam = 1.0
+    while lam >= solver.MIN_DAMPING and pending.size:
+        A_try = A[pending] + lam * step[pending]
+        F_try = mateq.residual_array(A_try)
+        n_try = np.linalg.norm(F_try, axis=(-2, -1))
+        better = n_try < norm[pending]
+        rows = pending[better]
+        A[rows], F[rows], norm[rows] = A_try[better], F_try[better], n_try[better]
+        pending = pending[~better]
+        lam *= 0.5
+    accepted = np.ones(n, dtype=bool)
+    accepted[pending] = False
+    return A, F, norm, accepted, regularised
+
+
 def reference_classify_floating(A: Mat3, tol: float = mateq.DEFAULT_CLASSIFY_TOL):
     """Floating ``classify`` before the stacked classifier: cofactor Mat3
     residual, then one Mat3 rank at a time down the decision tree.  Returns

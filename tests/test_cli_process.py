@@ -32,11 +32,15 @@ sys.exit(code)
 """
 
 
-def python(*args):
+def environment():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def python(*args):
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=environment(), timeout=120
     )
 
 
@@ -195,3 +199,19 @@ def test_help_exits_zero():
     proc = python("-m", "postlie_sl2", "search", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: postlie-sl2 search")
+
+
+def test_closed_stdout_is_quiet():
+    # the reader goes away before the document is written, as under
+    # `postlie-sl2 search ... | head -c 600`: no traceback, same exit code
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "postlie_sl2", "search", "--starts", "20", "--seed", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=environment(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from postlie_sl2 import mateq, solver
 from postlie_sl2.linalg import Mat3
 from postlie_sl2.mateq import FamilyKind, FamilyTag, representative, residual
 
-from conftest import finite_difference_jacobian
+from conftest import finite_difference_jacobian, reference_jacobian, reference_newton_step
 
 
 def entrywise_jacobian(A: np.ndarray) -> np.ndarray:
@@ -59,6 +61,71 @@ class TestResidualJacobian:
         J = solver.residual_jacobian(A)
         fd = finite_difference_jacobian(A)
         assert np.linalg.norm(J - fd) <= 1e-5 * np.linalg.norm(fd)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes, dtypes and bytes: equal values with equal signed zeros."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestGatheredKernel:
+    """The gathered Jacobian and the batched line search give the bits of
+    the broadcast Jacobian and the one-damping-at-a-time line search."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e50, 1e150])
+    def test_jacobian_equals_broadcast(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 3)
+        A = scale * (rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3)))
+        want = reference_jacobian(A)
+        got = solver._jacobian(A)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        assert got.flags.c_contiguous
+
+    def test_jacobian_equals_broadcast_on_real_and_sparse_rows(self):
+        # zero real or imaginary parts are where signed zeros could differ
+        A = np.array(
+            [np.zeros((3, 3)), np.eye(3), -np.eye(3), np.diag([1.0, 2.0, -3.0]),
+             [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -0.0]]],
+            dtype=complex,
+        )
+        A[3] *= 1j
+        assert same_bits(solver._jacobian(A), reference_jacobian(A))
+
+    def test_damping_batches_are_the_halvings(self):
+        dampings = [lam for batch in solver._DAMPING_BATCHES for lam in batch]
+        assert dampings == [2.0**-e for e in range(21)]
+        assert dampings[-1] == solver.MIN_DAMPING
+
+    @pytest.mark.parametrize("seed, radius", [(1, 2.0), (2, 2.0), (3, 5.0), (4, 5.0)])
+    def test_newton_step_equals_sequential_halving(self, seed, radius):
+        # twenty steps from 40 starts run through the full step, the damped
+        # steps of both batches and, once rows converge, refused steps
+        A = solver._seeded_starts(seed, range(40), radius)
+        F = mateq.residual_array(A)
+        norm = np.linalg.norm(F, axis=(-2, -1))
+        refused = 0
+        for _ in range(20):
+            got = solver._newton_step(A, F, norm)
+            want = reference_newton_step(A, F, norm)
+            for g, w in zip(got, want):
+                assert same_bits(g, w)
+            A, F, norm, accepted, _ = got
+            refused += int((~accepted).sum())
+        assert refused > 0
+
+    def test_overflowing_rows_stall_after_one_step(self):
+        # the residual or the Gram matrix J^H J of these rows overflows;
+        # any RuntimeWarning would fail the test
+        A0 = np.array([1e160, 1e300])[:, None, None] * np.ones((3, 3), complex)
+        _, norm, iterations, _, stalled = solver._newton(
+            A0, solver.DEFAULT_MAX_ITER, solver.DEFAULT_NEWTON_TOL
+        )
+        assert stalled.all()
+        assert iterations.tolist() == [1, 1]
+        assert not (norm < solver.DEFAULT_NEWTON_TOL).any()
 
 
 class TestArrayResidual:
@@ -197,6 +264,30 @@ class TestMultistart:
         b = solver.multistart(40, seed=7, radius=2.0)
         assert a == b
 
+    def test_unclassified_point_names_its_start(self, monkeypatch):
+        # the zero starts of radius 0 all converge; the second block's
+        # classification fails, so the error names that block's first start
+        classify_stack = mateq.classify_stack
+        calls = []
+
+        def failing_second_call(A):
+            calls.append(len(A))
+            if len(calls) == 2:
+                return [mateq.Inconclusive("no branch")] * len(A)
+            return classify_stack(A)
+
+        monkeypatch.setattr(mateq, "classify_stack", failing_second_call)
+        monkeypatch.setattr(solver, "BLOCK_ROWS", 3)
+        with pytest.raises(mateq.Inconclusive, match="at start 3 failed"):
+            solver.multistart(6, seed=1, radius=0.0)
+
+    def test_block_size_changes_no_outcome(self, monkeypatch):
+        reports = []
+        for rows in (1, 7, 64, solver.BLOCK_ROWS, 40):
+            monkeypatch.setattr(solver, "BLOCK_ROWS", rows)
+            reports.append(solver.multistart(40, seed=7, radius=5.0))
+        assert all(report == reports[0] for report in reports)
+
     def test_counters_sum_the_single_solves(self):
         report = solver.multistart(60, seed=99, radius=2.0)
         singles = [
@@ -206,6 +297,15 @@ class TestMultistart:
         assert report.iterations == sum(r.iterations for r in singles)
         assert report.regularised_steps == sum(r.regularised_steps for r in singles)
         assert report.stalls == sum(r.stalled for r in singles)
+        assert report.iteration_histogram == dict(
+            sorted(Counter(r.iterations for r in singles).items())
+        )
+        tags = [r.classification.tag for r in singles if r.converged]
+        assert report.family_histogram == Counter(tag.kind.value for tag in tags)
+        assert report.k_values == [
+            complex(tag.k) for tag in tags if tag.kind == FamilyKind.K_FAMILY
+        ]
+        assert report.failures == sum(not r.converged for r in singles)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
