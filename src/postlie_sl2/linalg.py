@@ -13,6 +13,11 @@ Two scalar worlds coexist and never mix inside one matrix:
 Vectors are *row* coordinate vectors throughout: a linear map with matrix
 ``A`` sends ``v`` to ``v @ A``.
 
+Exact decisions read one kernel on Gaussian-integer numerators, ``(re, im)``
+int pairs over one common denominator (:func:`numerator_vectors`):
+:func:`contract`, the one multiply-accumulate (with :func:`ad` and
+:func:`times`), and :func:`rank_numerators`, the one exact rank.
+
 Floating ranks have one rule, :func:`rank_decisions`: singular values
 above ``tol * max(sigma_max, floor)`` count.  ``Mat3.rank``, the
 classifier, the Jordan signatures and the congruence nullspaces all read
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +48,10 @@ __all__ = [
     "IllConditioned",
     "rank_decisions",
     "numerator_vectors",
+    "times",
+    "ad",
+    "contract",
+    "rank_numerators",
     "eigenvalues",
     "jordan_signature",
 ]
@@ -65,10 +75,17 @@ class IllConditioned(ArithmeticError):
     """Eigenvalue clustering is ambiguous at the working tolerance."""
 
 
+#: a component string: an integer or a quotient of two, in decimal digits;
+#: Fraction alone would expand "1e30000000" to thirty million digits
+_RATIONAL = r"[+-]?[0-9]+(/[0-9]+)?"
+
+
 def _to_rational(value) -> Fraction:
     """Coerce ``value`` to an exact rational, refusing floats outright."""
     if isinstance(value, (float, complex)):
         raise TypeError(f"exact scalars need rational components, got {value!r}")
+    if isinstance(value, str) and not re.fullmatch(_RATIONAL, value):
+        raise ValueError(f"exact component strings are p or p/q, got {value!r}")
     return Fraction(value)
 
 
@@ -93,11 +110,12 @@ class GaussianRational:
     equality compares triples.  The three attributes are read-only by
     convention; ``re`` and ``im`` give the components as ``Fraction``s.
 
-    The constructor takes an int, a ``Fraction`` or a string for each
-    component; arithmetic and equality also accept int and ``Fraction``
-    operands, but not strings.  Hashing agrees with equality: a real value
-    hashes like its ``Fraction`` (and so like an int when it is one), any
-    other value like its ``(re, im)`` pair.
+    The constructor takes an int, a ``Fraction`` or a string ``p`` or
+    ``p/q`` of decimal integers for each component; arithmetic and
+    equality also accept int and ``Fraction`` operands, but not strings.
+    Hashing agrees with equality: a real value hashes like its
+    ``Fraction`` (and so like an int when it is one), any other value like
+    its ``(re, im)`` pair.
     """
 
     __slots__ = ("num_re", "num_im", "den")
@@ -571,14 +589,14 @@ class Mat3(_SquareMatrix):
     def rank(self, tol: float | None = None, floor: float = 0.0) -> int:
         """Rank of the matrix.
 
-        Exact matrices are row-reduced over the field (``tol`` must be 0 or
-        omitted; ``floor`` is ignored).  Floating matrices are the one-row
+        Exact matrices go through :func:`rank_numerators` (``tol`` must be 0
+        or omitted; ``floor`` is ignored).  Floating matrices are the one-row
         call of :func:`rank_decisions`, with ``tol`` defaulting to 1e-8.
         """
         if self.kind == EXACT:
             if tol not in (None, 0, 0.0):
                 raise ValueError("exact rank requires tol=0")
-            return _exact_rank(self.rows)
+            return rank_numerators(numerator_vectors([x for r in self.rows for x in r], True)[0])
         if tol is None:
             tol = DEFAULT_RANK_TOL
         sv = np.linalg.svd(self.to_numpy(), compute_uv=False)
@@ -627,27 +645,73 @@ def numerator_vectors(scalars, exact: bool):
     return tuple(tuple(pairs[n : n + 3]) for n in range(0, len(pairs), 3)), D
 
 
-def _exact_rank(rows) -> int:
-    m = [list(r) for r in rows]
-    n = len(m)
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+def times(v, s):
+    """The vector of pairs ``v`` times the real scalar ``s``."""
+    return tuple((s * p, s * q) for p, q in v)
+
+
+def ad(w, n, z):
+    """Rows [e_m, w], the matrix of x -> [x, w]: a placement of the
+    coordinates w, their negations n and a zero z, scalars or pairs."""
+    (w0, w1, w2), (n0, n1, n2) = w, n
+    return (z, n2, w1), (w2, z, n0), (n1, w0, z)
+
+
+def contract(*terms):
+    """The sum of the vectors ``v @ M`` over the terms ``(v, M)``, for
+    coefficient pairs ``v`` and matrix rows ``M``.
+
+    Each term is summed on its own before it joins the total, the order in
+    which term-by-term vector arithmetic rounds, so that a term and its
+    negative cancel exactly on float pairs too.  Zero coefficients are
+    skipped.
+    """
+    R0 = I0 = R1 = I1 = R2 = I2 = 0
+    for v, M in terms:
+        r0 = i0 = r1 = i1 = r2 = i2 = 0
+        for (p, q), ((u0, w0), (u1, w1), (u2, w2)) in zip(v, M):
+            if p or q:
+                r0 += p * u0 - q * w0
+                i0 += p * w0 + q * u0
+                r1 += p * u1 - q * w1
+                i1 += p * w1 + q * u1
+                r2 += p * u2 - q * w2
+                i2 += p * w2 + q * u2
+        R0 += r0
+        I0 += i0
+        R1 += r1
+        I1 += i1
+        R2 += r2
+        I2 += i2
+    return (R0, I0), (R1, I1), (R2, I2)
+
+
+def rank_numerators(rows) -> int:
+    """Rank over C of a matrix of Gaussian integers, given as rows of
+    (re, im) int pairs, of any shape, by fraction-free (Bareiss)
+    elimination.  Each entry left after k pivots is a (k+1)-minor, so the
+    division by the last pivot is exact in Z[i]; a remainder raises
+    ``ArithmeticError``.  A column with no nonzero entry left is skipped."""
+    rest, rank, (dr, di) = list(rows), 0, (1, 0)
+    while rest and rest[0]:
+        k = next((k for k, r in enumerate(rest) if r[0] != (0, 0)), None)
+        if k is None:
+            rest = [r[1:] for r in rest]
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        piv = m[rank][col]
-        for r in range(rank + 1, n):
-            if m[r][col]:
-                f = m[r][col] / piv
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == n:
-            break
+        (pr, pi), *top = rest.pop(k)
+        n, eliminated = dr * dr + di * di, []
+        for (fr, fi), *row in rest:
+            eliminated.append([])
+            for (xr, xi), (yr, yi) in zip(row, top):
+                # (p x - f y) / d = (p x - f y) conj(d) / |d|^2
+                ar = pr * xr - pi * xi - fr * yr + fi * yi
+                ai = pr * xi + pi * xr - fr * yi - fi * yr
+                qr, er = divmod(ar * dr + ai * di, n)
+                qi, ei = divmod(ai * dr - ar * di, n)
+                if er or ei:
+                    raise ArithmeticError("inexact Bareiss division")
+                eliminated[-1].append((qr, qi))
+        rest, rank, dr, di = eliminated, rank + 1, pr, pi
     return rank
 
 

@@ -1,8 +1,8 @@
 """The matrix equation A'((tr A + 1) I - A) = A* and its solution classes.
 
-Provides the residual of the equation, on a ``Mat3`` (on numerators over
-one common denominator) and on complex (3,3) arrays or stacks of them (the
-one floating kernel, which every floating decision reads); the five
+Provides the residual of the equation, exact on integer numerators over
+one common denominator and floating on complex (3,3) arrays or stacks of
+them (the one floating kernel, which every floating decision reads); the five
 canonical solution families; the SO(3,C) congruence action; a congruence
 decision procedure (the nullspace dimensions of the similarity equations
 for (A, A), (A, B) and (B, B) decide non-congruence; otherwise a witness
@@ -25,7 +25,10 @@ from fractions import Fraction
 
 from . import so3c
 from ._numpy import np
-from .linalg import EXACT, GaussianRational, Mat3, numerator_vectors, rank_decisions
+from .linalg import (
+    EXACT, GaussianRational, Mat3, ad, contract, numerator_vectors, rank_decisions,
+    rank_numerators, times,
+)
 
 __all__ = [
     "FamilyKind",
@@ -166,37 +169,30 @@ _AFTER = [2, 0, 1]
 
 
 def _residual_numerators(A: Mat3):
-    """R D**2 = N'((tr N + D) I - N) - adj(N) for A = N / D, on the (re, im)
-    pairs of :func:`linalg.numerator_vectors`, as rows of pairs, and D."""
-    N, D = numerator_vectors([x for row in A.rows for x in row], A.kind == EXACT)
-    t_re = N[0][0][0] + N[1][1][0] + N[2][2][0] + D
-    t_im = N[0][0][1] + N[1][1][1] + N[2][2][1]
-    columns = [(N[0][j], N[1][j], N[2][j]) for j in range(3)]
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            # minus the cofactor, the 2x2 minor of N' as in residual_array
-            (a, b), (c, d) = N[_AFTER[j]][_NEXT[i]], N[_NEXT[j]][_AFTER[i]]
-            (e, f), (g, h) = N[_NEXT[j]][_NEXT[i]], N[_AFTER[j]][_AFTER[i]]
-            re, im = a * c - b * d - e * g + f * h, a * d + b * c - e * h - f * g
-            # minus the sum over k of N[k][i] (N[k][j] - [k = j] (tr N + D))
-            for k, ((p, q), (u, w)) in enumerate(zip(columns[i], columns[j])):
-                if k == j:
-                    u, w = u - t_re, w - t_im
-                re -= p * u - q * w
-                im -= p * w + q * u
-            row.append((re, im))
-        rows.append(row)
-    return rows, D
+    """R D**2 = N'((tr N + D) I - N) - adj(N) for A = N / D, on the int pairs
+    of :func:`linalg.numerator_vectors`, as rows of pairs; with N and D.
+    Row i is column i of N times (tr N + D) I - N, plus column i+2 cross
+    column i+1, which is minus row i of adj(N)."""
+    N, D = numerator_vectors([x for row in A.rows for x in row], True)
+    cols = list(zip(*N))
+    trace = ((N[0][0][0] + N[1][1][0] + N[2][2][0] + D, N[0][0][1] + N[1][1][1] + N[2][2][1]),)
+    neg = [times(c, -1) for c in cols]
+    ads = [ad(c, n, (0, 0)) for c, n in zip(cols, neg)]
+    R = [
+        contract((trace, (c,)), (n, N), (cols[_AFTER[i]], ads[_NEXT[i]]))
+        for i, (c, n) in enumerate(zip(cols, neg))
+    ]
+    return R, N, D
 
 
 def residual(A: Mat3) -> Mat3:
-    """A'((tr A + 1) I - A) - A*; zero exactly on matrices of PostLie products."""
-    R, D = _residual_numerators(A)
+    """A'((tr A + 1) I - A) - A*; zero exactly on matrices of PostLie products.
+    Floating input is the one-matrix call of :func:`residual_array`."""
     if A.kind == EXACT:
+        R, _, D = _residual_numerators(A)
         return Mat3([[GaussianRational.from_numerators(*z, D * D) for z in row] for row in R])
-    return Mat3([[complex(*z) for z in row] for row in R])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Mat3.from_numpy(residual_array(A.to_numpy()))
 
 
 def residual_array(A: np.ndarray) -> np.ndarray:
@@ -567,23 +563,29 @@ def classify(
     The decision tree uses congruence invariants only: rank(A) splits the
     five families except for two ambiguous spots, which are resolved by
     rank(A'A) (trace -2, rank 2) and by rank(sym(A) + I/2) (rank 1).
-    Exact input is decided in exact ``Mat3`` arithmetic: a zero residual
-    and exact ranks, with no margins.  Floating input is the one-row call
-    of :func:`classify_stack`, whose report carries the margin of each
-    rank decision.  A KFamily tag carries k as a GaussianRational for exact
-    input and as a complex for floating input, on every branch.  Raises
-    :class:`NotASolution` when the residual exceeds ``tol`` and
+    Exact input is decided on the integer numerators N / D of its residual
+    test: a zero residual, and the ranks of N, N + N' + D I and N'N from
+    :func:`linalg.rank_numerators`, with no margins.  Floating input is the
+    one-row call of :func:`classify_stack`, whose report carries the margin
+    of each rank decision.  A KFamily tag carries k as a GaussianRational
+    for exact input and as a complex for floating input, on every branch.
+    Raises :class:`NotASolution` when the residual exceeds ``tol`` and
     :class:`Inconclusive` when no branch matches, which cannot happen for
     true solutions.
     """
     if A.kind == EXACT:
-        if any(re or im for row in _residual_numerators(A)[0] for re, im in row):
+        R, N, D = _residual_numerators(A)
+        if any(re or im for row in R for re, im in row):
             raise NotASolution("matrix equation residual is nonzero")
+        cols = list(zip(*N))
         ranks = {
-            RANK_A: A.rank,
-            # twice sym(A) + I/2, of the same exact rank
-            RANK_SHIFTED_SYM: lambda: (A + A.transpose() + Mat3.identity()).rank(),
-            RANK_ATA: lambda: (A.transpose() @ A).rank(),
+            RANK_A: lambda: rank_numerators(N),
+            # N + N' + D I = 2 D (sym(A) + I/2), of the same rank
+            RANK_SHIFTED_SYM: lambda: rank_numerators(
+                [[(p + u + D * (i == j), q + w) for j, ((p, q), (u, w)) in enumerate(pairs)]
+                 for i, pairs in enumerate(map(zip, N, cols))]
+            ),
+            RANK_ATA: lambda: rank_numerators([contract((c, N)) for c in cols]),
         }
         t = A.trace()
         tag, invariants = _family_tag(

@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import EXACT, FLOATING, GaussianRational, Mat2, Mat3, Vec3, numerator_vectors
+from .linalg import (
+    EXACT, FLOATING, GaussianRational, Mat2, Mat3, Vec3, ad, contract, numerator_vectors, times,
+)
 
 __all__ = [
     "StructureConstants",
@@ -144,13 +146,6 @@ def _embed_2x2(v: Vec3) -> Mat2:
     return e1.scale(v[0]) + e2.scale(v[1]) + e3.scale(v[2])
 
 
-def _ad(w, n, z):
-    """Rows [e_m, w]: the matrix of x -> [x, w], given the coordinates w,
-    their negations n and a zero z."""
-    (w0, w1, w2), (n0, n1, n2) = w, n
-    return (z, n2, w1), (w2, z, n0), (n1, w0, z)
-
-
 def circ_from_matrix(A: Mat3) -> StructureConstants:
     """The product x o y = [f(x), y] where f maps e_i to row i of A.
 
@@ -158,7 +153,7 @@ def circ_from_matrix(A: Mat3) -> StructureConstants:
     each entry is an entry of A, its negation or zero.
     """
     zero = GaussianRational(0) if A.kind == EXACT else 0j
-    return StructureConstants([_ad([-x for x in f], f, zero) for f in A.rows])
+    return StructureConstants([ad([-x for x in f], f, zero) for f in A.rows])
 
 
 #: structure constants of the fixed Lie bracket: x o y = [x, y] for f = id
@@ -209,39 +204,6 @@ _ONE = ((1, 0),)
 _ZERO = ((0, 0), (0, 0), (0, 0))
 
 
-def _times(v, s):
-    return tuple((s * p, s * q) for p, q in v)
-
-
-def _contract(*terms):
-    """The sum of the vectors ``v @ M`` over the terms ``(v, M)``, for
-    coefficient pairs ``v`` and matrix rows ``M``.
-
-    Each term is summed on its own before it joins the total, the order in
-    which term-by-term vector arithmetic rounds, so that a term and its
-    negative cancel exactly in floating mode too.  Zero coefficients are
-    skipped.
-    """
-    R0 = I0 = R1 = I1 = R2 = I2 = 0
-    for v, M in terms:
-        r0 = i0 = r1 = i1 = r2 = i2 = 0
-        for (p, q), ((u0, w0), (u1, w1), (u2, w2)) in zip(v, M):
-            if p or q:
-                r0 += p * u0 - q * w0
-                i0 += p * w0 + q * u0
-                r1 += p * u1 - q * w1
-                i1 += p * w1 + q * u1
-                r2 += p * u2 - q * w2
-                i2 += p * w2 + q * u2
-        R0 += r0
-        I0 += i0
-        R1 += r1
-        I1 += i1
-        R2 += r2
-        I2 += i2
-    return (R0, I0), (R1, I1), (R2, I2)
-
-
 def _column(C, j):
     """Rows ``C[m][j]``: the matrix of x -> x o e_j for the table ``C``."""
     return C[0][j], C[1][j], C[2][j]
@@ -284,17 +246,17 @@ def _postlie_defects(C, D, exact):
     # C[d] is the matrix of x -> e_d o x, right[a] that of x -> x o e_a
     right = [_column(C, a) for a in range(3)]
     right_bracket = [_column(_BRACKET, a) for a in range(3)]
-    neg = [[_times(v, -1) for v in row] for row in C]
-    bracket_d = [[_times(v, D) for v in row] for row in _BRACKET]
+    neg = [[times(v, -1) for v in row] for row in C]
+    bracket_d = [[times(v, D) for v in row] for row in _BRACKET]
     three, four = {}, {}
     for a in range(3):
         for b in range(3):
             for d in range(3):
                 if exact and b >= d:
-                    r = _ZERO if b == d else _times(three[a, d, b], -1)
+                    r = _ZERO if b == d else times(three[a, d, b], -1)
                 else:
                     # z o (y o x) - y o (z o x) + (y o z) o x - (z o y) o x + [y,z] o x
-                    r = three[a, b, d] = _contract(
+                    r = three[a, b, d] = contract(
                         (C[b][a], C[d]),
                         (neg[d][a], C[b]),
                         (C[b][d], right[a]),
@@ -303,10 +265,10 @@ def _postlie_defects(C, D, exact):
                     )
                 yield "postlie-3", (a + 1, b + 1, d + 1), 2, r
                 if exact and a >= b:
-                    r = _ZERO if a == b else _times(four[b, a, d], -1)
+                    r = _ZERO if a == b else times(four[b, a, d], -1)
                 else:
                     # z o [x,y] - [z o x, y] - [x, z o y]
-                    r = four[a, b, d] = _contract(
+                    r = four[a, b, d] = contract(
                         (_BRACKET[a][b], C[d]),
                         (neg[d][a], right_bracket[b]),
                         (C[d][b], right_bracket[a]),
@@ -340,13 +302,13 @@ def derived_bracket(c: StructureConstants) -> StructureConstants:
 def _jacobi_defects(B):
     for i in range(3):
         for j in range(3):
-            r = _contract((_ONE, (B[i][j],)), (_ONE, (B[j][i],)))
+            r = contract((_ONE, (B[i][j],)), (_ONE, (B[j][i],)))
             yield "antisymmetry", (i + 1, j + 1), 1, r
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 # {{e_i,e_j},e_k} + {{e_k,e_i},e_j} + {{e_j,e_k},e_i}
-                r = _contract(
+                r = contract(
                     (B[i][j], _column(B, k)),
                     (B[k][i], _column(B, j)),
                     (B[j][k], _column(B, i)),
@@ -362,22 +324,22 @@ def check_jacobi(b: StructureConstants, tol: float = 1e-9) -> list[IdentityViola
 
 def _rota_baxter_defects(F, D, exact):
     # F[i] is f(e_i), row i of A
-    ads = [_ad(v, _times(v, -1), (0, 0)) for v in F]
+    ads = [ad(v, times(v, -1), (0, 0)) for v in F]
     unit_d = ((D, 0),)
     found = {}
     for i in range(3):
         for j in range(3):
             if exact and i >= j:
-                r = _ZERO if i == j else _times(found[j, i], -1)
+                r = _ZERO if i == j else times(found[j, i], -1)
             else:
                 # [f(e_i), e_j] + [e_i, f(e_j)] + [e_i, e_j], at D
-                inner = _contract(
+                inner = contract(
                     (F[i], _column(_BRACKET, j)),
                     (_ONE, (ads[j][i],)),
                     (unit_d, (_BRACKET[i][j],)),
                 )
                 # [f(e_i), f(e_j)] - f(inner), at D**2
-                r = found[i, j] = _contract((F[i], ads[j]), (_times(inner, -1), F))
+                r = found[i, j] = contract((F[i], ads[j]), (times(inner, -1), F))
             yield "rota-baxter", (i + 1, j + 1), 2, r
 
 

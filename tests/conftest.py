@@ -287,15 +287,12 @@ class ReferenceGaussianRational:
         return f"GaussianRational('{self.re}', '{self.im}')"
 
 
-# Reference 3x3 algebra on nested lists of ReferenceGaussianRational.
+# Reference 3x3 algebra on nested lists of ReferenceGaussianRational, or of
+# complex for the floating cross-checks.
 
 
 def reference_matmul(a, b):
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(3)), ReferenceGaussianRational(0))
-         for j in range(3)]
-        for i in range(3)
-    ]
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
 
 
 def reference_transpose(a):
@@ -338,15 +335,15 @@ def reference_residual(a):
 
 
 def reference_rank(a):
-    """Rank by Gaussian elimination over the field."""
+    """Rank by Gaussian elimination over the field, for rows of any shape."""
     m = [list(r) for r in a]
     rank = 0
-    for col in range(3):
-        pivot = next((r for r in range(rank, 3) if m[r][col]), None)
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(rank + 1, 3):
+        for r in range(rank + 1, len(m)):
             f = m[r][col] / m[rank][col]
             m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
         rank += 1

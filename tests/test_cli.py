@@ -420,6 +420,26 @@ class TestRoundTrips:
         assert serialize.scalar_from_json(2) == 2 + 0j
         assert serialize.scalar_from_json([0.5, -1]) == 0.5 - 1j
 
+    @pytest.mark.parametrize(
+        "part, value",
+        [("3", 3), ("-3", -3), ("+3", 3), ("6/4", Fraction(3, 2)), ("-7/3", Fraction(-7, 3)), (5, 5)],
+    )
+    def test_exact_components_are_integers_or_quotients(self, part, value):
+        assert serialize.scalar_from_json({"re": part, "im": "0"}) == value
+        assert serialize.scalar_from_json({"re": "0", "im": part}) == GaussianRational(0, value)
+
+    @pytest.mark.parametrize(
+        "part",
+        ["1e3000000", "1e30000000", "1.5", "1e5", "1_000", " 3 ", "3\n", "", "1/0", "1/-2",
+         "0x10", "\u0661\u0662", True, 1.5],
+    )
+    def test_other_exact_components_are_errors(self, part):
+        # Fraction would take exponent and decimal notation, and expand
+        # "1e30000000" to thirty million digits
+        for obj in ({"re": part, "im": "0"}, {"re": "0", "im": part}):
+            with pytest.raises(ValueError, match="bad exact scalar"):
+                serialize.scalar_from_json(obj)
+
     @pytest.mark.parametrize("obj", [10**400, [0, -(10**400)]])
     def test_integers_beyond_the_float_range_are_errors(self, obj):
         with pytest.raises(ValueError, match="floating range"):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,18 @@ def test_bad_input_is_one_error_document(tmp_path, command, content):
     assert code == 2
     assert doc["command"] == command
     assert doc["status"] == "error"
+
+
+def test_exponent_notation_is_refused_at_once(tmp_path):
+    # Fraction would expand this 30-byte entry to thirty million digits,
+    # more than a minute of work
+    zero = {"re": "0", "im": "0"}
+    rows = [[{"re": "1e30000000", "im": "0"}, zero, zero], [zero] * 3, [zero] * 3]
+    path = write_json(tmp_path, "m.json", rows)
+    start = time.perf_counter()
+    code, doc, _ = run_process("classify", path)
+    assert time.perf_counter() - start < 1.0
+    assert (code, doc["command"], doc["status"]) == (2, "classify", "error")
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from postlie_sl2.linalg import (
     eigenvalues,
     jordan_signature,
     rank_decisions,
+    rank_numerators,
 )
 from postlie_sl2.mateq import residual
 
@@ -57,6 +58,14 @@ class TestGaussianRational:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             GaussianRational(0.5)
+
+    def test_component_strings_are_integers_or_quotients(self):
+        assert GaussianRational("-6/4", "+7") == GaussianRational(Fraction(-3, 2), 7)
+        for part in ("1e5", "1.5", "1_000", " 3", "3 ", "0x10", "1/-2", ""):
+            with pytest.raises(ValueError, match="p or p/q"):
+                GaussianRational(part)
+            with pytest.raises(ValueError, match="p or p/q"):
+                GaussianRational(0, part)
 
     @given(gaussians, gaussians, gaussians)
     def test_ring_axioms(self, a, b, c):
@@ -427,6 +436,67 @@ class TestRank:
             rows.append(row)
         A = Mat3(rows)
         assert A.rank() == A.to_floating().rank(1e-8)
+
+
+class TestRankNumerators:
+    """The fraction-free rank on Gaussian-integer pairs.  Every Bareiss
+    division must be exact: the routine raises ArithmeticError on a
+    remainder, so each case also checks that none occurred."""
+
+    @staticmethod
+    def known_rank(rng, m, n, r, bound):
+        """U V for U (m x r) and V (r x n) with Gaussian-integer parts up to
+        ``bound``, of rank exactly r: U holds the identity at r random
+        rows and V at r random columns."""
+
+        def draw():
+            return int(rng.integers(-bound, bound + 1)), int(rng.integers(-bound, bound + 1))
+
+        U = [[draw() for _ in range(r)] for _ in range(m)]
+        V = [[draw() for _ in range(n)] for _ in range(r)]
+        rows, cols = rng.choice(m, r, replace=False), rng.choice(n, r, replace=False)
+        for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            U[i] = [(int(c == k), 0) for c in range(r)]
+            for c in range(r):
+                V[c][j] = (int(c == k), 0)
+        columns = [[V[k][j] for k in range(r)] for j in range(n)]
+        M = [
+            [
+                (
+                    sum(a * c - b * d for (a, b), (c, d) in zip(row, col)),
+                    sum(a * d + b * c for (a, b), (c, d) in zip(row, col)),
+                )
+                for col in columns
+            ]
+            for row in U
+        ]
+        return M, draw
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_products_of_known_rank(self, seed):
+        rng = np.random.default_rng(seed)
+        padded = seed % 2 == 1
+        # padding adds a row and two columns, up to the 18x9 congruence system
+        m, n = int(rng.integers(1, 18 - padded)), int(rng.integers(1, 10 - 2 * padded))
+        if seed < 4:
+            m, n = 18 - padded, 9 - 2 * padded
+        r = int(rng.integers(0, min(m, n) + 1))
+        M, draw = self.known_rank(rng, m, n, r, 10**6)
+        if padded:
+            # a zero first row makes the first pivot a swap; a zero first
+            # column, and a multiple of the column before it, are skipped
+            (p, q) = draw()
+            M = [[(0, 0)] * n] + M
+            M = [[(0, 0), x, (p * x[0] - q * x[1], p * x[1] + q * x[0]), *rest] for x, *rest in M]
+        reference = [[Ref(a, b) for a, b in row] for row in M]
+        assert rank_numerators(M) == reference_rank(reference) == r
+        assert rank_numerators([list(col) for col in zip(*M)]) == r
+
+    def test_square_and_degenerate_shapes(self):
+        assert rank_numerators([]) == 0
+        assert rank_numerators([[(0, 0)] * 4] * 3) == 0
+        assert rank_numerators([[(0, 0), (0, 1)], [(0, 0), (2, 0)]]) == 1
+        assert rank_numerators([[(0, 0), (1, 0)], [(1, 0), (0, 0)]]) == 2
 
 
 # -- eigenvalues and Jordan signatures ---------------------------------------

@@ -75,13 +75,17 @@ class TestResidual:
             assert _reference_entries(residual(A)) == reference_residual(_reference_entries(A))
 
     def test_floating_matches_array_kernel(self):
+        # floating residual() is the array kernel, bit for bit; both are
+        # checked against the independent reference formula
         rng = np.random.default_rng(12)
         for scale in (1e-6, 1e-2, 1.0, 1e3, 1e8):
             for _ in range(10):
                 A = scale * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-                got = residual(Mat3.from_numpy(A)).to_numpy()
+                got = residual(Mat3.from_numpy(A))
+                assert got == Mat3.from_numpy(mateq.residual_array(A))
+                want = np.array(reference_residual(A.tolist()))
                 n = np.linalg.norm(A, 2)
-                assert np.linalg.norm(got - mateq.residual_array(A)) <= 1e-12 * (n * n + n + 1)
+                assert np.linalg.norm(got.to_numpy() - want) <= 1e-12 * (n * n + n + 1)
 
     def test_exact_classify_fails_exactly_on_nonzero_reference_residual(self):
         nudge = Mat3.diag(0, gr(Fraction(1, 2**61 - 1), Fraction(-2, 89)), 0)
