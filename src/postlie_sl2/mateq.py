@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,25 +140,29 @@ class CongruenceVerdict:
     ``congruent`` carries a verified witness, ``not_congruent`` the name of
     the separating invariant, ``unknown`` the number of failed witness
     attempts.  Unknown is a value, not an error: the witness search is
-    one-sided.
+    one-sided.  ``nullities`` is set on every verdict: the pair (dims,
+    decided) of the dimensions of {S : X S = S Y, X' S = S Y'} for
+    (X, Y) = (A, A), (A, B) and (B, B) and whether each is decided; a
+    dimension the SVD could not give is None.
     """
 
     status: str
     witness: Mat3 | None = None
     separating_invariant: str | None = None
     attempts: int | None = None
+    nullities: tuple | None = None
 
     @classmethod
-    def congruent(cls, T: Mat3):
-        return cls("congruent", witness=T)
+    def congruent(cls, T: Mat3, nullities: tuple):
+        return cls("congruent", witness=T, nullities=nullities)
 
     @classmethod
-    def not_congruent(cls, invariant: str):
-        return cls("not_congruent", separating_invariant=invariant)
+    def not_congruent(cls, invariant: str, nullities: tuple):
+        return cls("not_congruent", separating_invariant=invariant, nullities=nullities)
 
     @classmethod
-    def unknown(cls, attempts: int):
-        return cls("unknown", attempts=attempts)
+    def unknown(cls, attempts: int, nullities: tuple):
+        return cls("unknown", attempts=attempts, nullities=nullities)
 
 
 # ---------------------------------------------------------------------------
@@ -305,35 +311,74 @@ def congruate(A: Mat3, T: Mat3, tol: float = DEFAULT_WITNESS_TOL) -> Mat3:
 # congruence decision procedure
 
 
-def _nullspace_sylvester(
-    Af: np.ndarray, Bf: np.ndarray
-) -> tuple[list[np.ndarray], bool]:
-    """Basis of {S : A S = S B, A' S = S B'} under row-major vectorization,
-    and whether its dimension is decided.
+def _sylvester_columns(block: int, i: int, j: int, p: int, q: int) -> tuple:
+    """Columns of the gathered array (X, Y row-major, then a zero) that the
+    two terms of entry ((block, i, j), (p, q)) of the similarity system
+    read: X_ip d_jq - d_ip Y_qj in block 0, X_pi d_jq - d_ip Y_jq in block 1."""
+    if block == 0:
+        return (3 * i + p if j == q else 18, 9 + 3 * q + j if i == p else 18)
+    return (3 * p + i if j == q else 18, 9 + 3 * j + q if i == p else 18)
 
-    Every witness lies here: transposing T'AT = B for an orthogonal T gives
-    A'T = TB'.  The space is closed under S -> S^-T, and S'S commutes with
-    B for each S in it.  The dimension is the nullity by the rule of
+
+@functools.cache
+def _sylvester_tables() -> np.ndarray:
+    """One gather table of 162 columns per term of the similarity system, in
+    term order: a (2,162) index array, made on first use so that importing
+    the module does not load numpy."""
+    entries = itertools.product(range(2), *[range(3)] * 4)
+    return np.array([_sylvester_columns(*entry) for entry in entries], dtype=np.intp).T.copy()
+
+
+def _similarity_systems(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The matrices of S -> (X S - S Y, X' S - S Y') for complex (n,3,3)
+    stacks X and Y, with S vectorized row-major: shape (n,18,9).
+
+    Each term is one gather from X and Y beside a zero column, and the
+    system is their difference; it agrees with the Kronecker form
+    [X (x) I - I (x) Y'; X' (x) I - I (x) Y] except in the sign of a zero.
+    """
+    n = len(X)
+    V = np.concatenate([X.reshape(n, 9), Y.reshape(n, 9), np.zeros((n, 1))], axis=1)
+    first, second = _sylvester_tables()
+    return (V.take(first, axis=1) - V.take(second, axis=1)).reshape(n, 18, 9)
+
+
+def _congruence_nullities(Af: np.ndarray, Bf: np.ndarray):
+    """The dimensions of {S : X S = S Y, X' S = S Y'} for (X, Y) = (A, A),
+    (A, B) and (B, B), whether each is decided, and a basis of the (A, B)
+    space as a (dim,3,3) array, or None.
+
+    Every witness lies in the (A, B) space: transposing T'AT = B for an
+    orthogonal T gives A'T = TB'.  The space is closed under S -> S^-T,
+    and S'S commutes with B for each S in it.  The three systems are one
+    gathered (3,18,9) stack, and one batched SVD gives their singular
+    values and the basis.  A dimension is the nullity by the rule of
     :func:`linalg.rank_decisions` at tol 1e-10 and floor 1; it is decided
     when the singular value nearest the cutoff lies a factor
-    ``NULLITY_GAP`` or more away from it.  A system that is not finite, or
-    whose SVD fails or overflows (entries near the float range), gives no
-    basis and an undecided dimension.
+    ``NULLITY_GAP`` or more away from it.  A stack that is not finite
+    (an entry of A or B that is not, or a difference that overflows), or
+    whose SVD fails or gives a non-finite value (entries near the float
+    range), leaves all three dimensions undecided (None) and gives no
+    basis, without a warning.
     """
-    I = np.eye(3)
-    M = np.vstack(
-        [np.kron(Af, I) - np.kron(I, Bf.T), np.kron(Af.T, I) - np.kron(I, Bf)]
+    undecided = (None,) * 3, (False,) * 3, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _similarity_systems(np.stack([Af, Af, Bf]), np.stack([Af, Bf, Bf]))
+        if not np.isfinite(M).all():
+            return undecided
+        try:
+            _, sv, vh = np.linalg.svd(M, full_matrices=False)
+        except np.linalg.LinAlgError:  # no convergence near the float range
+            return undecided
+    if not np.isfinite(sv).all():
+        return undecided
+    decisions = rank_decisions(sv, 1e-10, 1.0)
+    dims = tuple(9 - rank for rank, _, _ in decisions)
+    decided = tuple(
+        nearest <= cutoff / NULLITY_GAP or nearest >= cutoff * NULLITY_GAP
+        for _, nearest, cutoff in decisions
     )
-    try:
-        _, sv, vh = np.linalg.svd(M)
-    except np.linalg.LinAlgError:  # no convergence near the float range
-        return [], False
-    if not (np.isfinite(M).all() and np.isfinite(sv).all()):
-        return [], False
-    rank, nearest, cutoff = rank_decisions(sv[None], 1e-10, 1.0)[0]
-    basis = [vh[idx].conj().reshape(3, 3) for idx in range(rank, 9)]
-    decided = nearest <= cutoff / NULLITY_GAP or nearest >= cutoff * NULLITY_GAP
-    return basis, decided
+    return dims, decided, vh[1, decisions[1][0]:].conj().reshape(-1, 3, 3)
 
 
 def _orthogonal_polar_factor(S: np.ndarray, max_iter: int = 60):
@@ -356,33 +401,12 @@ def _orthogonal_polar_factor(S: np.ndarray, max_iter: int = 60):
     return X, defect
 
 
-def _separating_nullities(
-    Af: np.ndarray, Bf: np.ndarray
-) -> tuple[list[np.ndarray], str | None]:
-    """The nullspace basis for (A, B), and the separating invariant when the
-    nullspace dimensions for (A, A), (A, B) and (B, B) prove A and B not
-    congruent, else None.
-
-    The spaces {S : X S = S Y, X' S = S Y'} for (X, Y) = (A, A), (A, B)
-    and (B, B) have one dimension exactly when (A, A') and (B, B') are
-    simultaneously similar (Byrnes and Gauger for a pair of matrices,
-    extended to tuples by Friedland), that is, when A and B are
-    orthogonally similar.  So unequal dimensions, each decided with a
-    clear singular-value gap, rule out congruence.
-    """
-    spaces = [_nullspace_sylvester(X, Y) for X, Y in ((Af, Af), (Af, Bf), (Bf, Bf))]
-    dims = tuple(len(basis) for basis, _ in spaces)
-    separating = None
-    if all(decided for _, decided in spaces) and len(set(dims)) > 1:
-        separating = "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = " + str(dims)
-    return spaces[1][0], separating
-
-
 def _witness_from_start(
     stack: np.ndarray, Af: np.ndarray, Bf: np.ndarray, seed: int, start: int, tol: float
 ) -> np.ndarray | None:
     """The witness from one seeded random member of the nullspace spanned
-    by ``stack``, or None when its polar factor fails verification."""
+    by the (dim,3,3) basis ``stack``, or None when its polar factor fails
+    verification."""
     rng = np.random.default_rng([seed, start])
     c0 = rng.standard_normal(len(stack)) + 1j * rng.standard_normal(len(stack))
     S0 = np.tensordot(c0, stack, axes=1)
@@ -416,16 +440,19 @@ def congruence_test(
     """Decide whether B = T' A T for some T in SO(3,C).
 
     A and B are orthogonally similar exactly when (A, A') and (B, B') are
-    simultaneously similar, which the dimensions of the nullspaces of
+    simultaneously similar (Byrnes and Gauger for a pair of matrices,
+    extended to tuples by Friedland), that is, when the nullspaces of
     S -> (X S - S Y, X' S - S Y') for (X, Y) = (A, A), (A, B) and (B, B)
-    decide: unequal dimensions, each decided with a clear singular-value
-    gap, give ``not_congruent``, naming the three dimensions.  Otherwise
-    the orthogonal polar factor of a similarity S from the (A, B)
-    nullspace is a witness: up to ``budget`` seeded random S go through
-    Newton's polar iteration, and a verified witness gives ``congruent``.
-    When no start gives one, the verdict is ``unknown``.  Witnesses satisfy
-    T'T = I, det T = 1 and T' A T = B to ``tol``.  Raises ``ValueError``
-    for a negative ``budget``.
+    have one dimension.  Unequal dimensions, each decided with a clear
+    singular-value gap, give ``not_congruent``, naming the three
+    dimensions.  B within ``tol`` of A is ``congruent`` with the identity
+    as witness.  Otherwise the orthogonal polar factor of a similarity S
+    from the (A, B) nullspace is a witness: up to ``budget`` seeded random
+    S go through Newton's polar iteration, and a verified witness gives
+    ``congruent``.  When no start gives one, the verdict is ``unknown``.
+    Witnesses satisfy T'T = I, det T = 1 and T' A T = B to ``tol``.  Every
+    verdict carries the three dimensions as ``nullities``.  Raises
+    ``ValueError`` for a negative ``budget``.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -433,20 +460,20 @@ def congruence_test(
     # entries near the float range overflow to inf or nan, which no check
     # accepts; the overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        dims, decided, basis = _congruence_nullities(Af, Bf)
+        nullities = (dims, decided)
         if float(np.linalg.norm(Af - Bf)) <= tol:
-            return CongruenceVerdict.congruent(Mat3.identity(exact=False))
-
-        basis, separating = _separating_nullities(Af, Bf)
-        if separating is not None:
-            return CongruenceVerdict.not_congruent(separating)
-        if not basis:
-            return CongruenceVerdict.unknown(0)
-        stack = np.stack(basis)
+            return CongruenceVerdict.congruent(Mat3.identity(exact=False), nullities)
+        if all(decided) and len(set(dims)) > 1:
+            invariant = "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = " + str(dims)
+            return CongruenceVerdict.not_congruent(invariant, nullities)
+        if basis is None or not len(basis):
+            return CongruenceVerdict.unknown(0, nullities)
         for start in range(budget):
-            S = _witness_from_start(stack, Af, Bf, seed, start, tol)
+            S = _witness_from_start(basis, Af, Bf, seed, start, tol)
             if S is not None:
-                return CongruenceVerdict.congruent(Mat3.from_numpy(S))
-    return CongruenceVerdict.unknown(budget)
+                return CongruenceVerdict.congruent(Mat3.from_numpy(S), nullities)
+    return CongruenceVerdict.unknown(budget, nullities)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,8 @@ def verdict_to_json(verdict):
         payload["separating_invariant"] = verdict.separating_invariant
     if verdict.attempts is not None:
         payload["attempts"] = verdict.attempts
+    dims, decided = verdict.nullities
+    payload["nullities"] = {"dims": list(dims), "decided": list(decided)}
     return payload
 
 

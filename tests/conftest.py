@@ -398,6 +398,15 @@ def reference_jacobian(A: np.ndarray) -> np.ndarray:
     return J.reshape(-1, 9, 9)
 
 
+def reference_sylvester(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The congruence test's similarity system before it was gathered: the
+    matrix of S -> (X S - S Y, X' S - S Y') under row-major vectorization,
+    [X (x) I - I (x) Y'; X' (x) I - I (x) Y] for one pair of complex (3,3)
+    arrays; shape (18,9)."""
+    I = np.eye(3)
+    return np.vstack([np.kron(X, I) - np.kron(I, Y.T), np.kron(X.T, I) - np.kron(I, Y)])
+
+
 def reference_newton_step(A: np.ndarray, F: np.ndarray, norm: np.ndarray):
     """The solver's Newton step before its line search was batched: the same
     shifted normal-equations step on :func:`reference_jacobian`, then one

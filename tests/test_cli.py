@@ -293,8 +293,8 @@ class TestOrbitTest:
         assert json.loads(captured.out)["payload"]["verdict"] != "congruent"
 
     def test_svd_failure_near_float_range_is_unknown(self, capsys, tmp_path):
-        # the nullspace SVD does not converge on this pair; the honest
-        # answer is unknown, with exit 0 and nothing on stderr
+        # the similarity systems of this pair overflow; the honest answer
+        # is unknown, with exit 0 and nothing on stderr
         A = Mat3([[1e308, 1e308, 0.0], [1e308, -1e308, 0.0], [0.0, 0.0, 1.0]])
         a = write_matrix(tmp_path, "a.json", A)
         b = write_matrix(tmp_path, "b.json", Mat3.identity(exact=False))
@@ -304,7 +304,28 @@ class TestOrbitTest:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.err == ""
-        assert json.loads(captured.out)["payload"]["verdict"] == "unknown"
+        payload = json.loads(captured.out)["payload"]
+        assert payload["verdict"] == "unknown"
+        assert payload["nullities"] == {"dims": [None] * 3, "decided": [False] * 3}
+
+    def test_nullities_on_every_status(self, capsys, tmp_path):
+        from postlie_sl2 import so3c
+
+        A = representative(FamilyTag.non_sym_rank1()).to_floating()
+        a = write_matrix(tmp_path, "a.json", A)
+        b = write_matrix(tmp_path, "b.json", mateq.congruate(A, so3c.random_so3(21)))
+        c = write_matrix(tmp_path, "c.json", representative(FamilyTag.k_family(-1)))
+        decided = [True] * 3
+        for files, budget, verdict, dims in (
+            ((a, b), "32", "congruent", [2, 2, 2]),
+            ((a, a), "32", "congruent", [2, 2, 2]),
+            ((a, c), "32", "not_congruent", [2, 1, 3]),
+            ((a, b), "0", "unknown", [2, 2, 2]),
+        ):
+            code, doc = run(capsys, "orbit-test", *files, "--seed", "3", "--budget", budget)
+            assert code == 0
+            assert doc["payload"]["verdict"] == verdict
+            assert doc["payload"]["nullities"] == {"dims": dims, "decided": decided}
 
     def test_seed_required(self, capsys, tmp_path):
         a = write_matrix(tmp_path, "a.json", Mat3.zero())

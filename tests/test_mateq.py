@@ -36,6 +36,7 @@ from conftest import (
     ihalf,
     reference_classify_floating,
     reference_residual,
+    reference_sylvester,
     sampled_tags,
 )
 
@@ -474,6 +475,9 @@ class TestMargins:
 
 
 NULLITY_PREFIX = "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = "
+#: what the nullspace decision gives for a pair it cannot decide: no
+#: dimensions, none decided, no basis
+UNDECIDED = ((None, None, None), (False, False, False), None)
 
 
 def k_family_tags(rng, lo: float, hi: float, n: int) -> list:
@@ -552,16 +556,15 @@ class TestCongruenceTest:
             assert v.status != "congruent", x
 
     def test_svd_failure_near_float_range_is_unknown(self):
-        # the (A, A) system overflows and its SVD does not converge: the
-        # dimensions are undecided, so the verdict is unknown, not an error
+        # the (A, A) system overflows: the dimensions are undecided and there
+        # is no basis, so the verdict is unknown, not an error
         A = Mat3([[1e308, 1e308, 0.0], [1e308, -1e308, 0.0], [0.0, 0.0, 1.0]])
         Af = A.to_numpy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert mateq._nullspace_sylvester(Af, Af) == ([], False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            assert mateq._congruence_nullities(Af, Af) == UNDECIDED
             v = congruence_test(A, Mat3.identity(exact=False))
-        assert v.status == "unknown"
+        assert (v.status, v.attempts, v.nullities) == ("unknown", 0, UNDECIDED[:2])
 
     def test_deterministic(self):
         A = representative(FamilyTag.trace_minus_2()).to_floating()
@@ -753,12 +756,197 @@ class TestNullitySeparation:
         # nonzero they would read (3, 3, 5), but they are too close to call
         A = np.diag([1, 2e-10, 0]).astype(complex)
         B = np.diag([1, 0, 0]).astype(complex)
-        dims = [len(mateq._nullspace_sylvester(X, Y)[0]) for X, Y in ((A, A), (A, B), (B, B))]
-        assert dims == [3, 3, 5]
-        assert mateq._nullspace_sylvester(A, B)[1] is False
-        assert mateq._separating_nullities(A, B)[1] is None
+        dims, decided, basis = mateq._congruence_nullities(A, B)
+        assert dims == (3, 3, 5)
+        assert len(basis) == 3
+        assert decided[1] is False
         verdict = congruence_test(Mat3.from_numpy(A), Mat3.from_numpy(B), budget=0, tol=1e-12)
         assert verdict.status == "unknown"
+        assert verdict.nullities == (dims, decided)
+
+
+def _pairs(rng, n: int, scale: float, kind: str):
+    """n pairs of complex (3,3) arrays at ``scale``: random, real, sparse
+    (about half the entries zero) or equal."""
+    X = scale * (rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3)))
+    Y = scale * (rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3)))
+    if kind == "real":
+        X, Y = X.real + 0j, Y.real + 0j
+    elif kind == "sparse":
+        X = np.where(rng.random((n, 3, 3)) < 0.5, 0j, X)
+        Y = np.where(rng.random((n, 3, 3)) < 0.5, 0j, Y)
+    elif kind == "equal":
+        Y = X.copy()
+    return X, Y
+
+
+class TestSimilaritySystems:
+    """The gathered (n,18,9) stack of similarity systems, and the one
+    batched SVD that decides the three nullspaces of a congruence test."""
+
+    @pytest.mark.parametrize("kind", ["random", "real", "sparse", "equal"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e150])
+    def test_gathered_system_is_the_kronecker_system(self, scale, kind):
+        # the two agree everywhere except in the sign of a zero, which == ignores
+        X, Y = _pairs(np.random.default_rng(20261019), 12, scale, kind)
+        M = mateq._similarity_systems(X, Y)
+        assert M.shape == (12, 18, 9)
+        for n in range(12):
+            assert (M[n] == reference_sylvester(X[n], Y[n])).all(), n
+
+    def test_batched_rows_are_one_pair_calls(self):
+        rng = np.random.default_rng(5)
+        for kind in ("random", "sparse", "equal"):
+            X, Y = _pairs(rng, 9, 1.0, kind)
+            M = mateq._similarity_systems(X, Y)
+            for n in range(9):
+                one = mateq._similarity_systems(X[n : n + 1], Y[n : n + 1])[0]
+                assert M[n].tobytes() == one.tobytes()
+
+    def test_batched_svd_is_three_one_pair_svds(self):
+        # every row of the one SVD gives the dimension, the decision and,
+        # for (A, B), the basis that an SVD of that system alone gives
+        reps = [representative(t).to_floating() for t in RECORDED_TAGS]
+        pairs = [(A, congruate(A, so3c.random_so3(i))) for i, A in enumerate(reps)]
+        pairs = [(A.to_numpy(), B.to_numpy()) for A, B in pairs]
+        pairs += [(pairs[i][0], pairs[j][0]) for i, j in RECORDED_NULLITIES]
+        pairs += list(zip(*_pairs(np.random.default_rng(11), 4, 1.0, "random")))
+        for A, B in pairs:
+            dims, decided, basis = mateq._congruence_nullities(A, B)
+            for row, (X, Y) in enumerate(((A, A), (A, B), (B, B))):
+                M = mateq._similarity_systems(X[None], Y[None])[0]
+                _, sv, vh = np.linalg.svd(M, full_matrices=False)
+                rank, nearest, cutoff = linalg.rank_decisions(sv[None], 1e-10, 1.0)[0]
+                assert dims[row] == 9 - rank
+                assert decided[row] == (
+                    nearest <= cutoff / mateq.NULLITY_GAP or nearest >= cutoff * mateq.NULLITY_GAP
+                )
+                if row == 1:
+                    assert basis.tobytes() == vh[rank:].conj().tobytes()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+    def test_non_finite_pair_is_undecided(self, bad):
+        # a non-finite entry in either matrix leaves all three dimensions
+        # undecided and no basis, with no RuntimeWarning
+        A = representative(FamilyTag.non_sym_rank1()).to_floating().to_numpy()
+        for which in (0, 1):
+            pair = [A.copy(), A.copy()]
+            pair[which][1, 2] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert mateq._congruence_nullities(*pair) == UNDECIDED
+
+    def test_overflowing_svd_is_undecided(self):
+        # a finite stack whose SVD overflows to non-finite singular values
+        A = np.array([[1e308, 1e308, 0], [0, 1e308, 0], [0, 0, 1]], dtype=complex)
+        I = np.eye(3, dtype=complex)
+        M = mateq._similarity_systems(np.stack([A, A, I]), np.stack([A, I, I]))
+        assert np.isfinite(M).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mateq._congruence_nullities(A, I) == UNDECIDED
+
+    def test_one_svd_per_congruence_test(self, monkeypatch):
+        svd = np.linalg.svd
+        shapes = []
+
+        def counting(M, *args, **kwargs):
+            shapes.append(M.shape)
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        A = representative(FamilyTag.trace_minus_2()).to_floating()
+        congruence_test(A, congruate(A, so3c.random_so3(4)))
+        congruence_test(A, representative(FamilyTag.non_sym_rank1()).to_floating())
+        assert shapes == [(3, 18, 9), (3, 18, 9)]
+
+
+#: the four fixed families and KFamily at six parameters
+RECORDED_TAGS = [
+    FamilyTag.zero(),
+    FamilyTag.minus_identity(),
+    FamilyTag.trace_minus_2(),
+    FamilyTag.non_sym_rank1(),
+] + [FamilyTag.k_family(k) for k in (0j, -1 + 0j, 1 + 0j, 2 + 0j, 0.5 + 0j, 3 + 7j)]
+#: the separating dimensions of every distinct pair of RECORDED_TAGS, by
+#: index, as the per-pair Kronecker systems gave them
+RECORDED_NULLITIES = {
+    (0, 1): (9, 0, 9), (0, 2): (9, 0, 2), (0, 3): (9, 3, 2), (0, 4): (9, 3, 3),
+    (0, 5): (9, 0, 3), (0, 6): (9, 0, 3), (0, 7): (9, 0, 3), (0, 8): (9, 0, 3),
+    (0, 9): (9, 0, 3), (1, 2): (9, 3, 2), (1, 3): (9, 0, 2), (1, 4): (9, 0, 3),
+    (1, 5): (9, 3, 3), (1, 6): (9, 0, 3), (1, 7): (9, 0, 3), (1, 8): (9, 0, 3),
+    (1, 9): (9, 0, 3), (2, 3): (2, 1, 2), (2, 4): (2, 1, 3), (2, 5): (2, 2, 3),
+    (2, 6): (2, 1, 3), (2, 7): (2, 1, 3), (2, 8): (2, 1, 3), (2, 9): (2, 1, 3),
+    (3, 4): (2, 2, 3), (3, 5): (2, 1, 3), (3, 6): (2, 1, 3), (3, 7): (2, 1, 3),
+    (3, 8): (2, 1, 3), (3, 9): (2, 1, 3), (4, 5): (3, 2, 3), (4, 6): (3, 2, 3),
+    (4, 7): (3, 2, 3), (4, 8): (3, 2, 3), (4, 9): (3, 2, 3), (5, 6): (3, 2, 3),
+    (5, 7): (3, 2, 3), (5, 8): (3, 2, 3), (5, 9): (3, 2, 3), (6, 7): (3, 2, 3),
+    (6, 8): (3, 2, 3), (6, 9): (3, 2, 3), (7, 8): (3, 2, 3), (7, 9): (3, 2, 3),
+    (8, 9): (3, 2, 3),
+}
+
+
+class TestRecordedVerdicts:
+    """Statuses and separating invariants recorded from the per-pair
+    Kronecker systems, before the three systems became one gathered stack."""
+
+    def test_congruates_are_congruent(self):
+        for tag in RECORDED_TAGS:
+            A = representative(tag).to_floating()
+            for seed in range(5):
+                v = congruence_test(A, congruate(A, so3c.random_so3(seed)))
+                assert (v.status, v.separating_invariant) == ("congruent", None), (tag, seed)
+
+    def test_distinct_representatives_are_separated(self):
+        reps = [representative(tag).to_floating() for tag in RECORDED_TAGS]
+        assert len(RECORDED_NULLITIES) == len(reps) * (len(reps) - 1) // 2
+        for (i, j), dims in RECORDED_NULLITIES.items():
+            v = congruence_test(reps[i], reps[j])
+            assert v.status == "not_congruent", (i, j)
+            assert v.separating_invariant == NULLITY_PREFIX + str(dims), (i, j)
+
+    def test_symmetric_canonical_form_pairs(self):
+        S = canonical_matrix(form(FormKind.RANK2_DIAG, 1, 2))
+        v = find_orthogonal_similarity(S, S, seed=0)
+        assert (v.status, v.separating_invariant) == ("congruent", None)
+        S = canonical_matrix(form(FormKind.RANK1_DIAG, 2)).to_floating()
+        v = find_orthogonal_similarity(S, congruate(S, so3c.random_so3(77)), seed=3)
+        assert (v.status, v.separating_invariant) == ("congruent", None)
+        v = find_orthogonal_similarity(
+            canonical_matrix(form(FormKind.RANK1_DIAG, 1)),
+            canonical_matrix(form(FormKind.RANK1_NILP)),
+            seed=0,
+        )
+        assert (v.status, v.separating_invariant) == ("not_congruent", NULLITY_PREFIX + "(5, 4, 5)")
+
+
+class TestVerdictNullities:
+    """Every verdict carries the three dimensions and their decisions."""
+
+    def test_congruent(self):
+        A = representative(FamilyTag.non_sym_rank1()).to_floating()
+        v = congruence_test(A, congruate(A, so3c.random_so3(3)), seed=5)
+        assert v.status == "congruent"
+        assert v.nullities == ((2, 2, 2), (True, True, True))
+
+    def test_identity_shortcut(self):
+        A = representative(FamilyTag.trace_minus_2()).to_floating()
+        v = congruence_test(A, A)
+        assert v.witness == Mat3.identity(exact=False)
+        assert v.nullities == ((2, 2, 2), (True, True, True))
+
+    def test_not_congruent(self):
+        v = congruence_test(
+            representative(FamilyTag.trace_minus_2()), representative(FamilyTag.k_family(-1))
+        )
+        assert v.status == "not_congruent"
+        assert v.nullities == ((2, 2, 3), (True, True, True))
+
+    def test_unknown(self):
+        A = representative(FamilyTag.k_family(2)).to_floating()
+        v = congruence_test(A, congruate(A, so3c.random_so3(8)), budget=0)
+        assert (v.status, v.attempts) == ("unknown", 0)
+        assert v.nullities == ((3, 3, 3), (True, True, True))
 
 
 class TestRank3Rigidity:
