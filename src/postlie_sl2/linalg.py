@@ -215,7 +215,10 @@ class GaussianRational:
         return o / self
 
     def __neg__(self):
-        return _reduced(-self.num_re, -self.num_im, self.den)
+        # negating the numerator keeps the triple in lowest terms
+        z = object.__new__(GaussianRational)
+        z.num_re, z.num_im, z.den = -self.num_re, -self.num_im, self.den
+        return z
 
     def __pos__(self):
         return self

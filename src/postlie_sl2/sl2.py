@@ -13,6 +13,7 @@ which suffices by bilinearity, and report every violation they find.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -199,6 +200,17 @@ def matrix_from_circ(c: StructureConstants, tol: float = 1e-9) -> Mat3:
 # exact mode contracts only the instances with b < d, a < b or i < j: it
 # negates them for the mirrored instances and gives zero on the diagonal.
 # Floating mode contracts every instance: a negation rounds unlike a sum.
+#
+# Exact check_postlie first tries the derivation form.  Write L_d = C[d],
+# so x -> e_d o x is x @ L_d.  The postlie-4 defect at (a, b, d) is
+# (e_a x e_b) @ (L_d + L_d' - tr(L_d) I), so postlie-4 holds on every
+# instance exactly when every L_d is antisymmetric, which is 18 integer
+# sums; then L_d = ad(w_d), x @ L_d = [x, w_d].  With W the matrix of rows
+# w_d, postlie-3 at (a, b, d) is [e_a, u_bd], where
+# u_bd = w_b x w_d + (C[b][d] - C[d][b] + [e_b, e_d]) @ W sits at D**2, so
+# three vectors u_01, u_02, u_12 decide all 27 instances.  Every table of
+# ``circ_from_matrix`` is of this form.  An exact table that is not, and
+# every floating table, takes the contractions above.
 
 _ONE = ((1, 0),)
 _ZERO = ((0, 0), (0, 0), (0, 0))
@@ -276,15 +288,40 @@ def _postlie_defects(C, D, exact):
                 yield "postlie-4", (a + 1, b + 1, d + 1), 1, r
 
 
+def _antisymmetric(L):
+    """Whether the matrix of pairs ``L`` satisfies L' = -L exactly."""
+    pairs = ((L[i][j], L[j][i]) for i in range(3) for j in range(i, 3))
+    return all(p == -r and q == -s for (p, q), (r, s) in pairs)
+
+
+def _derivation_postlie_defects(C, D):
+    # every C[d] is ad(w_d), read off where ``ad`` places w; postlie-4 is zero
+    W = tuple((L[2][1], L[0][2], L[1][0]) for L in C)
+    sides = ((1, 0), (-1, 0), (D, 0))
+    ads = {}
+    for b, d in ((0, 1), (0, 2), (1, 2)):
+        v = contract((sides, (C[b][d], C[d][b], _BRACKET[b][d])))
+        u = contract((W[b], ad(W[d], times(W[d], -1), (0, 0))), (v, W))
+        n = times(u, -1)
+        ads[b, d], ads[d, b] = ad(u, n, (0, 0)), ad(n, u, (0, 0))
+    # the diagonal b = d vanishes; the rest in the contractions' order
+    for a in range(3):
+        for b, d in itertools.permutations(range(3), 2):
+            yield "postlie-3", (a + 1, b + 1, d + 1), 2, ads[b, d][a]
+
+
 def check_postlie(c: StructureConstants, tol: float = 1e-9) -> list[IdentityViolation]:
     """Evaluate both product axioms of a PostLie structure on basis triples.
 
     The two bracket axioms concern the fixed bracket and are validated once
     at import time; the returned list is empty exactly when the product
     turns the fixed bracket into a PostLie algebra (to ``tol`` in floating
-    mode).
+    mode).  An exact table whose left multiplications are all
+    antisymmetric is decided in derivation form, with the same list.
     """
     C, D, exact = _table_form(c)
+    if exact and all(_antisymmetric(L) for L in C):
+        return _violations(_derivation_postlie_defects(C, D), D, exact, tol)
     return _violations(_postlie_defects(C, D, exact), D, exact, tol)
 
 

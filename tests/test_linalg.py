@@ -204,6 +204,28 @@ class TestAgainstReference:
         assert _bits(complex(x)) == _bits(complex(rx))
         assert _bits(x.to_complex()) == _bits(rx.to_complex())
 
+    @given(st.one_of(scalar_pairs, st.tuples(huge_rationals, huge_rationals)))
+    def test_negation_keeps_lowest_terms(self, p):
+        # negation builds its triple without reducing again
+        x, rx = _both(p)
+        minus = -x
+        assert _agrees(minus, -rx)
+        assert minus.den == x.den
+        assert -minus == x and hash(-minus) == hash(x)
+        assert hash(minus) == hash(GaussianRational(-rx.re, -rx.im))
+        assert (minus == x) == (not x)
+
+    def test_negation_of_zero_and_large_denominators(self):
+        big = Fraction(2**61 - 1, 3**45)
+        for x in (GaussianRational(0), GaussianRational(big), GaussianRational(0, -big),
+                  GaussianRational(big, Fraction(7, 3**45 * 5))):
+            minus = -x
+            assert _canonical(minus) and minus == GaussianRational(-x.re, -x.im)
+            assert hash(minus) == hash(GaussianRational(-x.re, -x.im))
+            assert -minus == x
+        zero = GaussianRational(0)
+        assert (-zero) == zero and hash(-zero) == hash(zero) == hash(0)
+
     @given(huge_rationals, huge_rationals)
     def test_complex_of_huge_components(self, re, im):
         # past 2**53 a float of each int would round twice

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postlie_sl2 import mateq
+from postlie_sl2 import mateq, sl2, so3c
 from postlie_sl2.linalg import GaussianRational, Mat3, Vec3
 from postlie_sl2.sl2 import (
     LIE_BRACKET,
@@ -423,3 +423,93 @@ class TestIndependentInstances:
             for violations in cases:
                 assert violations
                 assert not [v for v in violations if _diagonal(v)]
+
+
+MOVED_TAGS = (
+    mateq.FamilyTag.trace_minus_2(),
+    mateq.FamilyTag.k_family(GaussianRational(0, 1)),
+    mateq.FamilyTag.k_family(GaussianRational(Fraction(5, 3), -2)),
+    mateq.FamilyTag.non_sym_rank1(),
+)
+
+
+def _high_height(rng, bits):
+    """A Gaussian rational whose denominators have about ``bits`` bits."""
+    def q():
+        return Fraction(int(rng.integers(-(2**bits), 2**bits)), int(rng.integers(2 ** (bits - 1), 2**bits)))
+    return GaussianRational(q(), q())
+
+
+def _high_height_matrices(rng):
+    """Exact solutions and non-solutions with denominators of 40 bits or
+    more: the representatives of the families that congruence moves (not
+    Zero or MinusIdentity) under the Cayley transform of an antisymmetric
+    matrix of 24-bit entries, each also with one entry nudged, and dense
+    matrices of 48-bit entries."""
+    out = []
+    for tag in MOVED_TAGS:
+        a, b, c = (_high_height(rng, 24) for _ in range(3))
+        z = GaussianRational(0)
+        T = so3c.cayley(Mat3([[z, a, b], [-a, z, c], [-b, -c, z]]))
+        A = mateq.congruate(mateq.representative(tag), T)
+        out += [A, A + Mat3.diag(_high_height(rng, 40), 0, 0)]
+    out += [Mat3([[_high_height(rng, 48) for _ in range(3)] for _ in range(3)]) for _ in range(3)]
+    return out
+
+
+def _largest_denominator_bits(c):
+    return max(x.den for row in c.table for v in row for x in v).bit_length()
+
+
+def _forbid(monkeypatch, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"check_postlie reached {name}")
+
+    monkeypatch.setattr(sl2, name, forbidden)
+
+
+class TestDerivationForm:
+    """An exact table whose every L_d = C[d] is antisymmetric is decided
+    from three vectors u_bd; any other exact table, and every floating one,
+    runs the contractions.  Both give the reference's lists element for
+    element."""
+
+    def test_high_height_adjoint_tables(self, monkeypatch):
+        tables = [circ_from_matrix(A) for A in _high_height_matrices(np.random.default_rng(23))]
+        assert min(_largest_denominator_bits(c) for c in tables) >= 40
+        want = [reference_check_postlie(c) for c in tables]
+        # every solution passes and every nudged or dense matrix fails
+        assert [bool(w) for w in want] == [False, True] * len(MOVED_TAGS) + [True] * 3
+        _forbid(monkeypatch, "_postlie_defects")
+        assert [check_postlie(c) for c in tables] == want
+
+    def test_zero_table_and_lie_bracket(self, monkeypatch):
+        want = [reference_check_postlie(c) for c in (StructureConstants.zero(), LIE_BRACKET)]
+        assert want[0] == [] and want[1]
+        _forbid(monkeypatch, "_postlie_defects")
+        assert check_postlie(StructureConstants.zero()) == want[0]
+        assert check_postlie(LIE_BRACKET) == want[1]
+
+    @pytest.mark.parametrize("d", range(3))
+    def test_symmetric_perturbation_falls_back(self, monkeypatch, d):
+        A = exact_congruate(mateq.FamilyTag.k_family(gr(2, 1)), 11)
+        base = [[list(v) for v in row] for row in circ_from_matrix(A).table]
+        eps = gr(Fraction(3, 7), Fraction(-1, 5))
+        tables = []
+        for i in range(3):
+            for j in range(i, 3):
+                t = [[list(v) for v in row] for row in base]
+                t[d][i][j] += eps
+                if i != j:
+                    t[d][j][i] += eps
+                tables.append(StructureConstants(t))
+        want = [reference_check_postlie(c) for c in tables]
+        # L_d + L_d' is no longer zero, so postlie-4 fails on some instance
+        assert all(any(v.identity == "postlie-4" for v in w) for w in want)
+        _forbid(monkeypatch, "_derivation_postlie_defects")
+        assert [check_postlie(c) for c in tables] == want
+
+    def test_floating_tables_take_the_contractions(self, monkeypatch):
+        c = circ_from_matrix(exact_congruate(mateq.FamilyTag.trace_minus_2(), 5).to_floating())
+        _forbid(monkeypatch, "_derivation_postlie_defects")
+        assert check_postlie(c) == []

@@ -20,6 +20,7 @@ rewritten residual agrees with the independent Rota-Baxter contraction.
 
 import itertools
 
+from postlie_sl2 import mateq, sl2
 from postlie_sl2.linalg import Mat3, Vec3
 from postlie_sl2.mateq import residual
 from postlie_sl2.sl2 import bracket, check_postlie, check_rota_baxter, circ_from_matrix
@@ -65,3 +66,17 @@ def test_postlie_defects_are_brackets_of_rota_baxter_defects():
         for a, b, d in itertools.product(range(3), repeat=3):
             want = bracket(Vec3.basis(a), rb.get((b + 1, d + 1), zero))
             assert three.get((a + 1, b + 1, d + 1), zero) == want, (A, a, b, d)
+
+
+def test_postlie_checker_is_independent(monkeypatch):
+    # the two tests above compare independent computations: check_postlie
+    # must reach neither the Rota-Baxter checker nor the residual
+    fails = [bool(check_rota_baxter(A)) for A in LATTICE]
+    assert any(fails) and not all(fails)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_postlie reached another checker")
+
+    monkeypatch.setattr(sl2, "check_rota_baxter", forbidden)
+    monkeypatch.setattr(mateq, "residual", forbidden)
+    assert [bool(check_postlie(circ_from_matrix(A))) for A in LATTICE] == fails
