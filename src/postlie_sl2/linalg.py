@@ -19,9 +19,10 @@ int pairs over one common denominator (:func:`numerator_vectors`):
 :func:`times`), and :func:`rank_numerators`, the one exact rank.
 
 Floating ranks have one rule, :func:`rank_decisions`: singular values
-above ``tol * max(sigma_max, floor)`` count.  ``Mat3.rank``, the
-classifier, the Jordan signatures and the congruence nullspaces all read
-it.  Floating eigenvalues come from ``np.linalg.eigvals``; eigenvalues
+above ``tol * max(sigma_max, floor)`` count, and on descending rows the
+value nearest the threshold is one of its two neighbours.  ``Mat3.rank``,
+the classifier, the Jordan signatures and the congruence nullspaces all
+read it.  Floating eigenvalues come from ``np.linalg.eigvals``; eigenvalues
 and Jordan signatures are floating only.
 
 All values are immutable after construction and every operation is a pure
@@ -616,7 +617,10 @@ def rank_decisions(sv, tol: float, floor) -> list:
     the object a matrix was derived from, so that a derived matrix that is
     mathematically zero but numerically noise has rank 0.  A row with
     threshold 0 (the zero matrix at floor 0) has rank 0, and its nearest
-    singular value is 0.
+    singular value is 0.  The rows descend, so the values above the
+    threshold lead the row, and the nearest value is the last of them or
+    the first value after them, the earlier of the two on a tie; a row
+    with no positive value gives its first.
     """
     rows = sv.tolist()
     floors = floor.tolist() if isinstance(floor, np.ndarray) else [floor] * len(rows)
@@ -626,9 +630,18 @@ def rank_decisions(sv, tol: float, floor) -> list:
         if not threshold:
             out.append((0, 0.0, 0.0))
             continue
+        rank = 0
+        for x in row:
+            if not x > threshold:
+                break
+            rank += 1
         log_t = math.log(threshold)
-        rank = sum(x > threshold for x in row)
-        nearest = min(row, key=lambda x: abs(math.log(x) - log_t) if x > 0 else math.inf)
+        nearest, distance = row[0], math.inf
+        for x in row[max(rank - 1, 0) : rank + 1]:
+            if x > 0:
+                d = abs(math.log(x) - log_t)
+                if d < distance:
+                    nearest, distance = x, d
         out.append((rank, nearest, threshold))
     return out
 

@@ -322,48 +322,55 @@ def _sylvester_columns(block: int, i: int, j: int, p: int, q: int) -> tuple:
 
 @functools.cache
 def _sylvester_tables() -> np.ndarray:
-    """One gather table of 162 columns per term of the similarity system, in
-    term order: a (2,162) index array, made on first use so that importing
-    the module does not load numpy."""
+    """The gather tables of the three systems (A, A), (A, B) and (B, B)
+    from [A row-major, B row-major, 0]: a (2,3,18,9) index array, one
+    table per term, made on first use so that importing the module does
+    not load numpy.  The (A, B) table is :func:`_sylvester_columns`; the
+    (A, A) table reads A for Y, and the (B, B) table reads B for X."""
     entries = itertools.product(range(2), *[range(3)] * 4)
-    return np.array([_sylvester_columns(*entry) for entry in entries], dtype=np.intp).T.copy()
+    ab = np.array([_sylvester_columns(*entry) for entry in entries], dtype=np.intp).T
+    aa = np.where((ab >= 9) & (ab < 18), ab - 9, ab)
+    bb = np.where(ab < 9, ab + 9, ab)
+    return np.stack([aa, ab, bb], axis=1).reshape(2, 3, 18, 9)
 
 
-def _similarity_systems(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The matrices of S -> (X S - S Y, X' S - S Y') for complex (n,3,3)
-    stacks X and Y, with S vectorized row-major: shape (n,18,9).
+def _similarity_systems(A, B) -> np.ndarray:
+    """The matrices of S -> (X S - S Y, X' S - S Y') for (X, Y) = (A, A),
+    (A, B) and (B, B), with S vectorized row-major, for two complex 3x3
+    array-likes A and B: shape (3,18,9).
 
-    Each term is one gather from X and Y beside a zero column, and the
-    system is their difference; it agrees with the Kronecker form
-    [X (x) I - I (x) Y'; X' (x) I - I (x) Y] except in the sign of a zero.
+    Each term is one gather from the 19-vector [A row-major, B row-major,
+    0], and each system is the difference of its two terms; it agrees with
+    the Kronecker form [X (x) I - I (x) Y'; X' (x) I - I (x) Y] except in
+    the sign of a zero.
     """
-    n = len(X)
-    V = np.concatenate([X.reshape(n, 9), Y.reshape(n, 9), np.zeros((n, 1))], axis=1)
+    V = np.concatenate([np.ravel(A), np.ravel(B), np.zeros(1)])
     first, second = _sylvester_tables()
-    return (V.take(first, axis=1) - V.take(second, axis=1)).reshape(n, 18, 9)
+    return V.take(first) - V.take(second)
 
 
-def _congruence_nullities(Af: np.ndarray, Bf: np.ndarray):
+def _congruence_nullities(A, B):
     """The dimensions of {S : X S = S Y, X' S = S Y'} for (X, Y) = (A, A),
     (A, B) and (B, B), whether each is decided, and a basis of the (A, B)
-    space as a (dim,3,3) array, or None.
+    space as a (dim,3,3) array, or None; A and B are complex 3x3
+    array-likes.
 
     Every witness lies in the (A, B) space: transposing T'AT = B for an
     orthogonal T gives A'T = TB'.  The space is closed under S -> S^-T,
     and S'S commutes with B for each S in it.  The three systems are one
-    gathered (3,18,9) stack, and one batched SVD gives their singular
-    values and the basis.  A dimension is the nullity by the rule of
-    :func:`linalg.rank_decisions` at tol 1e-10 and floor 1; it is decided
-    when the singular value nearest the cutoff lies a factor
-    ``NULLITY_GAP`` or more away from it.  A stack that is not finite
-    (an entry of A or B that is not, or a difference that overflows), or
-    whose SVD fails or gives a non-finite value (entries near the float
-    range), leaves all three dimensions undecided (None) and gives no
-    basis, without a warning.
+    gathered (3,18,9) stack (:func:`_similarity_systems`), and one batched
+    SVD gives their singular values and the basis.  A dimension is the
+    nullity by the rule of :func:`linalg.rank_decisions` at tol 1e-10 and
+    floor 1; it is decided when the singular value nearest the cutoff lies
+    a factor ``NULLITY_GAP`` or more away from it.  A stack that is not
+    finite (an entry of A or B that is not, or a difference that
+    overflows), or whose SVD fails or gives a non-finite value (entries
+    near the float range), leaves all three dimensions undecided (None)
+    and gives no basis, without a warning.
     """
     undecided = (None,) * 3, (False,) * 3, None
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _similarity_systems(np.stack([Af, Af, Bf]), np.stack([Af, Bf, Bf]))
+        M = _similarity_systems(A, B)
         if not np.isfinite(M).all():
             return undecided
         try:
@@ -381,52 +388,105 @@ def _congruence_nullities(Af: np.ndarray, Bf: np.ndarray):
     return dims, decided, vh[1, decisions[1][0]:].conj().reshape(-1, 3, 3)
 
 
-def _orthogonal_polar_factor(S: np.ndarray, max_iter: int = 60):
-    """Newton's polar iteration X <- (X + X^-T)/2 from X = S.
+# The witness search holds a 3x3 matrix as its nine entries, row-major, as
+# Python complex numbers: at this size numpy's per-call cost outweighs the
+# arithmetic.  Overflow gives inf or nan, but abs() raises OverflowError
+# when a modulus exceeds the float range.
+
+_IDENTITY = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+_ZERO = (0,) * 9
+
+
+def _gram(X, Y) -> list:
+    """X' Y for two matrices of nine entries."""
+    return [X[r] * Y[c] + X[r + 3] * Y[c + 3] + X[r + 6] * Y[c + 6]
+            for r in (0, 1, 2) for c in (0, 1, 2)]
+
+
+def _cofactors(X):
+    """The cofactor matrix of X, which is det(X) X^-T, and det(X)."""
+    a, b, c, d, e, f, g, h, i = X
+    cof = [
+        e * i - f * h, f * g - d * i, d * h - e * g,
+        c * h - b * i, a * i - c * g, b * g - a * h,
+        b * f - c * e, c * d - a * f, a * e - b * d,
+    ]
+    return cof, a * cof[0] + b * cof[1] + c * cof[2]
+
+
+def _frobenius_distance(X, Y) -> float:
+    """||X - Y||_F; inf when it exceeds the float range."""
+    diffs = [x - y for x, y in zip(X, Y)]
+    return math.hypot(*[z.real for z in diffs], *[z.imag for z in diffs])
+
+
+def _orthogonal_polar_factor(S, max_iter: int = 60):
+    """Newton's polar iteration X <- (X + X^-T)/2 from X = S, nine entries.
 
     It converges quadratically to Q = S (S'S)^(-1/2) when S'S has no
     eigenvalue on (-inf, 0]; then Q'Q = I, and Q'AQ = B for S in the
-    nullspace above, since (S'S)^(-1/2) commutes with B.  Returns the last
-    iterate and the largest modulus of an entry of X'X - I.
+    nullspace above, since (S'S)^(-1/2) commutes with B.  X^-T is the
+    cofactor matrix over det(X), and a singular iterate ends the
+    iteration.  Returns the last iterate and the largest modulus of an
+    entry of X'X - I.
     """
-    X, defect = S, float(np.abs(S.T @ S - np.eye(3)).max())
+    X, defect = S, _orthogonality_defect(S)
     for _ in range(max_iter):
         if not defect >= 1e-12:  # converged, or no longer finite
             break
+        cof, det = _cofactors(X)
         try:
-            X = (X + np.linalg.inv(X).T) / 2
-        except np.linalg.LinAlgError:  # singular iterate
+            X = [(x + y / det) * 0.5 for x, y in zip(X, cof)]
+        except ZeroDivisionError:  # singular iterate
             break
-        defect = float(np.abs(X.T @ X - np.eye(3)).max())
+        defect = _orthogonality_defect(X)
     return X, defect
 
 
-def _witness_from_start(
-    stack: np.ndarray, Af: np.ndarray, Bf: np.ndarray, seed: int, start: int, tol: float
-) -> np.ndarray | None:
-    """The witness from one seeded random member of the nullspace spanned
-    by the (dim,3,3) basis ``stack``, or None when its polar factor fails
-    verification."""
+def _orthogonality_defect(X) -> float:
+    """The largest modulus of an entry of X'X - I, read on its six
+    distinct entries (X'X is symmetric, bit for bit); nan when one is nan,
+    which max() alone would skip."""
+    a, b, c, d, e, f, g, h, i = X
+    moduli = (
+        abs(a * a + d * d + g * g - 1), abs(b * b + e * e + h * h - 1),
+        abs(c * c + f * f + i * i - 1), abs(a * b + d * e + g * h),
+        abs(a * c + d * f + g * i), abs(b * c + e * f + h * i),
+    )
+    total = sum(moduli)
+    return total if total != total else max(moduli)
+
+
+def _witness_from_start(basis: np.ndarray, A, B, seed: int, start: int, tol: float):
+    """The witness, as nine entries, from one seeded random member of the
+    nullspace spanned by the (dim,3,3) array ``basis``, or None when its
+    polar factor fails verification against the nine entries A and B; a
+    singular iterate, a non-finite value or a modulus beyond the float
+    range fails too."""
     rng = np.random.default_rng([seed, start])
-    c0 = rng.standard_normal(len(stack)) + 1j * rng.standard_normal(len(stack))
-    S0 = np.tensordot(c0, stack, axes=1)
-    scale = np.linalg.norm(S0)
+    c0 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    S0 = np.dot(c0, basis.reshape(len(basis), 9)).tolist()
+    scale = _frobenius_distance(S0, _ZERO)
     if scale < 1e-12:
         return None
-    S, defect = _orthogonal_polar_factor(S0 * (math.sqrt(3.0) / scale))
-    if not defect <= 1e-10:
-        return None
-    det = np.linalg.det(S)
-    if abs(det + 1) <= tol:
-        S = -S  # odd dimension: -S is orthogonal with determinant +1
-        det = np.linalg.det(S)
-    # each check must pass, so a defect that is NaN rejects the witness
-    if (
-        abs(det - 1) <= tol
-        and np.linalg.norm(S.T @ S - np.eye(3)) <= tol
-        and np.linalg.norm(S.T @ Af @ S - Bf) <= tol
-    ):
-        return S
+    try:
+        unit = math.sqrt(3.0) / scale
+        S, defect = _orthogonal_polar_factor([x * unit for x in S0])
+        if not defect <= 1e-10:
+            return None
+        det = _cofactors(S)[1]
+        if abs(det + 1) <= tol:
+            S = [-x for x in S]  # odd dimension: -S is orthogonal with determinant +1
+            det = _cofactors(S)[1]
+        # each check must pass, so a defect that is NaN rejects the witness
+        if (
+            abs(det - 1) <= tol
+            and _frobenius_distance(_gram(S, S), _IDENTITY) <= tol
+            and _frobenius_distance(_gram(_gram(A, S), S), B) <= tol
+        ):
+            return S
+    except OverflowError:  # a modulus beyond the float range
+        pass
     return None
 
 
@@ -453,26 +513,25 @@ def congruence_test(
     Witnesses satisfy T'T = I, det T = 1 and T' A T = B to ``tol``.  Every
     verdict carries the three dimensions as ``nullities``.  Raises
     ``ValueError`` for a negative ``budget``.
+    Exact operands are decided on their floating copies.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    Af, Bf = A.to_numpy(), B.to_numpy()
-    # entries near the float range overflow to inf or nan, which no check
-    # accepts; the overflow is not worth a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        dims, decided, basis = _congruence_nullities(Af, Bf)
-        nullities = (dims, decided)
-        if float(np.linalg.norm(Af - Bf)) <= tol:
-            return CongruenceVerdict.congruent(Mat3.identity(exact=False), nullities)
-        if all(decided) and len(set(dims)) > 1:
-            invariant = "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = " + str(dims)
-            return CongruenceVerdict.not_congruent(invariant, nullities)
-        if basis is None or not len(basis):
-            return CongruenceVerdict.unknown(0, nullities)
-        for start in range(budget):
-            S = _witness_from_start(basis, Af, Bf, seed, start, tol)
-            if S is not None:
-                return CongruenceVerdict.congruent(Mat3.from_numpy(S), nullities)
+    A9 = [x for row in A.to_floating().rows for x in row]
+    B9 = [x for row in B.to_floating().rows for x in row]
+    dims, decided, basis = _congruence_nullities(A9, B9)
+    nullities = (dims, decided)
+    if _frobenius_distance(A9, B9) <= tol:
+        return CongruenceVerdict.congruent(Mat3.identity(exact=False), nullities)
+    if all(decided) and len(set(dims)) > 1:
+        invariant = "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = " + str(dims)
+        return CongruenceVerdict.not_congruent(invariant, nullities)
+    if basis is None or not len(basis):
+        return CongruenceVerdict.unknown(0, nullities)
+    for start in range(budget):
+        S = _witness_from_start(basis, A9, B9, seed, start, tol)
+        if S is not None:
+            return CongruenceVerdict.congruent(Mat3([S[0:3], S[3:6], S[6:9]]), nullities)
     return CongruenceVerdict.unknown(budget, nullities)
 
 
@@ -533,11 +592,14 @@ def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
     finite is never a solution.  rank(sym(A) + I/2),
     floored at the scale, is computed only for the rows of rank 1, and
     rank(A'A), floored at the scale squared, only for the rows of rank 2
-    with |tr(A) + 2| <= tol.  Each report lists one margin per rank
-    decision: the singular value nearest the threshold, and the threshold.
-    A row's report does not depend on the other rows.
+    with |tr(A) + 2| <= tol; the SVD of a second rank runs only when some
+    row reads it, and an empty stack runs none.  Each report lists one
+    margin per rank decision: the singular value nearest the threshold,
+    and the threshold.  A row's report does not depend on the other rows.
     """
     A = np.asarray(A, dtype=complex)
+    if not len(A):
+        return []
     with np.errstate(over="ignore", invalid="ignore"):
         res_norm = np.linalg.norm(residual_array(A), axis=(-2, -1))
         # summed left to right as Mat3.trace does, so k = tr(A) + 1 is the same
@@ -556,6 +618,8 @@ def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
     rows = np.flatnonzero(solution & (rank_a == 2) & at_minus_2)
     second.append((RANK_ATA, rows, At[rows] @ A[rows], scale[rows] ** 2))
     for name, rows, M, floor in second:
+        if not rows.size:
+            continue
         found = rank_decisions(np.linalg.svd(M, compute_uv=False), tol, floor)
         for row, triple in zip(rows.tolist(), found):
             decisions[row][name] = triple

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -478,3 +479,42 @@ def reference_classify_floating(A: Mat3, tol: float = mateq.DEFAULT_CLASSIFY_TOL
     if tag is None:
         raise mateq.Inconclusive(f"no branch matches invariants {invariants}")
     return mateq.ClassificationReport(tag, float(res_norm), tuple(invariants))
+
+
+def reference_rank_decisions(sv, tol, floor):
+    """``linalg.rank_decisions`` before it read the threshold's two
+    neighbours: the rank counts every value above the threshold, and the
+    nearest value in ratio is the first minimum over the whole row."""
+    rows = sv.tolist()
+    floors = floor.tolist() if isinstance(floor, np.ndarray) else [floor] * len(rows)
+    out = []
+    for row, f in zip(rows, floors):
+        threshold = tol * max(row[0], f)
+        if not threshold:
+            out.append((0, 0.0, 0.0))
+            continue
+        log_t = math.log(threshold)
+        rank = sum(x > threshold for x in row)
+        nearest = min(row, key=lambda x: abs(math.log(x) - log_t) if x > 0 else math.inf)
+        out.append((rank, nearest, threshold))
+    return out
+
+
+def reference_polar_iterates(S: np.ndarray, max_iter: int = 60):
+    """Newton's polar iteration X <- (X + X^-T)/2 on a complex (3,3) array,
+    as the congruence test ran it in numpy: every iterate, and the defect
+    max |X'X - I| of each; it stops as ``mateq._orthogonal_polar_factor``
+    does."""
+    X = S
+    iterates = [X]
+    defects = [float(np.abs(X.T @ X - np.eye(3)).max())]
+    for _ in range(max_iter):
+        if not defects[-1] >= 1e-12:
+            break
+        try:
+            X = (X + np.linalg.inv(X).T) / 2
+        except np.linalg.LinAlgError:
+            break
+        iterates.append(X)
+        defects.append(float(np.abs(X.T @ X - np.eye(3)).max()))
+    return iterates, defects

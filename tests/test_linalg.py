@@ -29,6 +29,7 @@ from conftest import (
     reference_det,
     reference_matmul,
     reference_rank,
+    reference_rank_decisions,
     reference_residual,
 )
 
@@ -411,6 +412,27 @@ class TestRank:
         assert Mat3.zero(exact=False).rank(1e-8, 0.0) == 0
         rows = rank_decisions(np.zeros((2, 3)), 1e-8, np.array([0.0, 1.0]))
         assert rows == [(0, 0.0, 0.0), (0, 0.0, 1e-8)]
+
+    def test_neighbours_of_the_threshold_match_the_whole_row(self):
+        # random descending rows over many decades, with zeros, repeated
+        # values and values on the threshold, against the loop over every
+        # value that the rule replaced
+        rng = np.random.default_rng(20261020)
+        rows = []
+        for n in (3, 9):
+            sv = 10 ** rng.uniform(-14, 3, (400, n))
+            sv[rng.random((400, n)) < 0.2] = 0.0
+            repeat = rng.random((400, n)) < 0.2
+            sv[:, 1:][repeat[:, 1:]] = sv[:, :-1][repeat[:, 1:]]
+            sv[:40] = 0.0
+            sv[40:80, -1] = 1e-8 * np.maximum(sv[40:80].max(axis=1), 1.0)
+            rows.append(-np.sort(-sv, axis=1))
+        for sv in rows:
+            floors = 10 ** rng.uniform(-6, 6, len(sv))
+            for tol, floor in ((1e-10, 1.0), (1e-8, 0.0), (1e-8, 1.0), (1e-6, floors),
+                               (1e-3, floors * 0), (0.5, floors)):
+                want = reference_rank_decisions(sv, tol, floor)
+                assert rank_decisions(sv, tol, floor) == want, (tol, floor)
 
     def test_family3_rank2(self):
         # rows 2 and 3 agree, row 1 independent

@@ -35,6 +35,7 @@ from conftest import (
     half,
     ihalf,
     reference_classify_floating,
+    reference_polar_iterates,
     reference_residual,
     reference_sylvester,
     sampled_tags,
@@ -439,6 +440,45 @@ class TestClassifyStack:
     def test_empty_stack(self):
         assert mateq.classify_stack(np.zeros((0, 3, 3), dtype=complex)) == []
 
+    def test_no_svd_that_no_row_reads(self, monkeypatch):
+        # one row of every branch: the second-rank SVDs run only for the
+        # branch that reads them, and the reports are those of one batch,
+        # which runs both
+        rows = [representative(tag).to_floating().to_numpy() for tag in (
+            FamilyTag.zero(),
+            FamilyTag.minus_identity(),
+            FamilyTag.trace_minus_2(),
+            FamilyTag.non_sym_rank1(),
+            FamilyTag.k_family(0),
+            FamilyTag.k_family(-1),
+            FamilyTag.k_family(2.5 - 1j),
+        )]
+        rows.append(np.eye(3, dtype=complex))  # not a solution
+        sym, ata = mateq.RANK_SHIFTED_SYM, mateq.RANK_ATA
+        second = [None, None, ata, sym, sym, ata, None, None]
+        batch = mateq.classify_stack(np.stack(rows))
+        svd = np.linalg.svd
+        shapes = []
+
+        def counting(M, *args, **kwargs):
+            shapes.append(M.shape)
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert mateq.classify_stack(np.zeros((0, 3, 3), dtype=complex)) == []
+        assert shapes == []
+        for A, name, want in zip(rows, second, batch):
+            shapes.clear()
+            got = mateq.classify_stack(A[None])[0]
+            assert shapes == [(1, 3, 3)] * (1 if name is None else 2), name
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+                continue
+            assert got == want
+            assert (name in dict(got.invariants_used)) == (name is not None)
+            ref = reference_classify_floating(Mat3.from_numpy(A))
+            assert (got.tag, got.invariants_used) == (ref.tag, ref.invariants_used)
+
 
 class TestMargins:
     def test_near_boundary_k_shows_its_margin(self):
@@ -698,6 +738,133 @@ class TestWitnessConstruction:
             _assert_witness(v.witness, A, T.T @ A @ T)
 
 
+def _polar_starts():
+    """Starts of the polar iteration, as complex (3,3) arrays: random at
+    the witness search's scale, ill-conditioned (singular values down to
+    1e-4), and nilpotent plus a perturbation of 1e-3."""
+    rng = np.random.default_rng(20261020)
+
+    def draw():
+        return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+    starts = [draw() for _ in range(40)]
+    for _ in range(20):
+        U, _, Vh = np.linalg.svd(draw())
+        starts.append(U @ np.diag([1.0, 10 ** rng.uniform(-2, 0), 10 ** rng.uniform(-4, -2)]) @ Vh)
+    nilpotent = [np.triu(draw(), 1), np.diag([1.0, 1.0], 1) + 0j, np.diag([1.0], 2) + 0j]
+    for _ in range(10):
+        for N in nilpotent:
+            starts.append(N + 1e-3 * draw())
+    return [S * (math.sqrt(3.0) / np.linalg.norm(S)) for S in starts]
+
+
+def _entries(M: Mat3) -> list:
+    """The nine entries of M, row-major, as the witness search holds them."""
+    return [x for row in M.rows for x in row]
+
+
+class TestScalarWitness:
+    """The witness search on nine complex scalars, against the numpy
+    iteration it replaced (``reference_polar_iterates``)."""
+
+    def test_polar_iterates_match_numpy(self):
+        # the two invert X differently (cofactors over the determinant, and
+        # LU), so an iterate on the way may differ by the start's condition
+        # number times rounding; the last iterates agree to 1e-12 relative
+        starts = _polar_starts()
+        converged = 0
+        for S in starts:
+            iterates, defects = reference_polar_iterates(S)
+            cond = np.linalg.cond(S)
+            for k, (want, want_defect) in enumerate(zip(iterates, defects)):
+                X, defect = mateq._orthogonal_polar_factor(S.ravel().tolist(), max_iter=k)
+                X = np.array(X).reshape(3, 3)
+                assert np.linalg.norm(X - want) <= 1e-12 * cond * np.linalg.norm(want), k
+                assert (defect <= 1e-10) == (want_defect <= 1e-10), k
+            X, defect = mateq._orthogonal_polar_factor(S.ravel().tolist())
+            X = np.array(X).reshape(3, 3)
+            assert np.linalg.norm(X - iterates[-1]) <= 1e-12 * np.linalg.norm(iterates[-1])
+            assert (defect <= 1e-10) == (defects[-1] <= 1e-10)
+            assert (defect >= 1e-12) == (defects[-1] >= 1e-12)
+            converged += defect <= 1e-10
+        assert converged == len(starts)
+
+    def test_singular_start_is_none(self):
+        A9 = _entries(representative(FamilyTag.non_sym_rank1()).to_floating())
+        basis = np.diag([1.0, 1.0, 0.0]).astype(complex)[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for start in range(4):
+                assert mateq._witness_from_start(basis, A9, A9, 0, start, 1e-8) is None
+        X, defect = mateq._orthogonal_polar_factor(basis[0].ravel().tolist())
+        assert defect == 1.0  # the start itself: its iterate is singular
+
+    def test_start_near_the_float_range_is_none(self, monkeypatch):
+        A9 = _entries(representative(FamilyTag.non_sym_rank1()).to_floating())
+        rng = np.random.default_rng(3)
+        basis = 1e300 * (rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for start in range(4):
+                assert mateq._witness_from_start(basis, A9, A9, 0, start, 1e-8) is None
+        # an entry of X'X whose modulus exceeds the float range, though its
+        # parts do not: abs() raises OverflowError, and the start fails
+        a = complex(np.sqrt(1.3e308 * (1 + 1j)))
+        huge = [a, 0j, 0j, 0j, 1 + 0j, 0j, 0j, 0j, 1 + 0j]
+        with pytest.raises(OverflowError):
+            mateq._orthogonal_polar_factor(huge)
+        polar = mateq._orthogonal_polar_factor
+        monkeypatch.setattr(mateq, "_orthogonal_polar_factor", lambda S: polar(huge))
+        basis = np.eye(3, dtype=complex)[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mateq._witness_from_start(basis, A9, A9, 0, 0, 1e-8) is None
+
+    def test_non_finite_entry_is_none(self):
+        # the nan sits in the third column, where max() alone would skip it
+        X, defect = mateq._orthogonal_polar_factor([1, 0, math.nan, 0, 1, 0, 0, 0, 1])
+        assert math.isnan(defect)
+        A9 = _entries(representative(FamilyTag.non_sym_rank1()).to_floating())
+        basis = np.array([[1, 0, math.nan], [0, 1, 0], [0, 0, 1]], dtype=complex)[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mateq._witness_from_start(basis, A9, A9, 0, 0, 1e-8) is None
+
+    def test_determinant_minus_one_is_flipped(self, monkeypatch):
+        # start 0 of this pair converges to an orthogonal factor of
+        # determinant -1, and its negation is the witness
+        A = representative(FamilyTag.trace_minus_2()).to_floating()
+        B = congruate(A, so3c.random_so3(0))
+        A9, B9 = _entries(A), _entries(B)
+        basis = mateq._congruence_nullities(A9, B9)[2]
+        polar = mateq._orthogonal_polar_factor
+        factors = []
+        monkeypatch.setattr(
+            mateq, "_orthogonal_polar_factor", lambda S: factors.append(polar(S)) or factors[-1]
+        )
+        S = mateq._witness_from_start(basis, A9, B9, 0, 0, 1e-8)
+        Q = np.array(factors[0][0]).reshape(3, 3)
+        assert abs(np.linalg.det(Q) + 1) <= 1e-8
+        assert S == [-x for x in factors[0][0]]
+        _assert_witness(Mat3([S[0:3], S[3:6], S[6:9]]), A.to_numpy(), B.to_numpy())
+
+    def test_witness_is_a_floating_mat3(self):
+        A = representative(FamilyTag.trace_minus_2()).to_floating()
+        B = congruate(A, so3c.random_so3(4))
+        v = congruence_test(A, B)
+        assert v.status == "congruent"
+        assert isinstance(v.witness, Mat3) and v.witness.kind == linalg.FLOATING
+        _assert_witness(v.witness, A.to_numpy(), B.to_numpy())
+
+    def test_exact_operands(self):
+        # exact input is decided on its floating copy
+        A = representative(FamilyTag.trace_minus_2())
+        B = exact_congruate(FamilyTag.trace_minus_2(), 2)
+        exact, floating = congruence_test(A, B), congruence_test(A.to_floating(), B.to_floating())
+        assert exact == floating
+        assert exact.status == "congruent"
+
+
 class TestNullitySeparation:
     """Pairs of equal ranks and characteristic polynomials that the
     nullspace dimensions for (A, A), (A, B) and (B, B) separate."""
@@ -789,19 +956,23 @@ class TestSimilaritySystems:
     def test_gathered_system_is_the_kronecker_system(self, scale, kind):
         # the two agree everywhere except in the sign of a zero, which == ignores
         X, Y = _pairs(np.random.default_rng(20261019), 12, scale, kind)
-        M = mateq._similarity_systems(X, Y)
-        assert M.shape == (12, 18, 9)
         for n in range(12):
-            assert (M[n] == reference_sylvester(X[n], Y[n])).all(), n
+            M = mateq._similarity_systems(X[n], Y[n])
+            assert M.shape == (3, 18, 9)
+            for row, (P, Q) in enumerate(((X[n], X[n]), (X[n], Y[n]), (Y[n], Y[n]))):
+                assert (M[row] == reference_sylvester(P, Q)).all(), (n, row)
 
     def test_batched_rows_are_one_pair_calls(self):
+        # each system of the gathered stack is, byte for byte, the (A, B)
+        # system of a gather of its own pair
         rng = np.random.default_rng(5)
         for kind in ("random", "sparse", "equal"):
             X, Y = _pairs(rng, 9, 1.0, kind)
-            M = mateq._similarity_systems(X, Y)
             for n in range(9):
-                one = mateq._similarity_systems(X[n : n + 1], Y[n : n + 1])[0]
-                assert M[n].tobytes() == one.tobytes()
+                M = mateq._similarity_systems(X[n], Y[n])
+                for row, (P, Q) in enumerate(((X[n], X[n]), (X[n], Y[n]), (Y[n], Y[n]))):
+                    one = mateq._similarity_systems(P, Q)[1]
+                    assert M[row].tobytes() == one.tobytes()
 
     def test_batched_svd_is_three_one_pair_svds(self):
         # every row of the one SVD gives the dimension, the decision and,
@@ -814,7 +985,7 @@ class TestSimilaritySystems:
         for A, B in pairs:
             dims, decided, basis = mateq._congruence_nullities(A, B)
             for row, (X, Y) in enumerate(((A, A), (A, B), (B, B))):
-                M = mateq._similarity_systems(X[None], Y[None])[0]
+                M = mateq._similarity_systems(X, Y)[1]
                 _, sv, vh = np.linalg.svd(M, full_matrices=False)
                 rank, nearest, cutoff = linalg.rank_decisions(sv[None], 1e-10, 1.0)[0]
                 assert dims[row] == 9 - rank
@@ -840,7 +1011,7 @@ class TestSimilaritySystems:
         # a finite stack whose SVD overflows to non-finite singular values
         A = np.array([[1e308, 1e308, 0], [0, 1e308, 0], [0, 0, 1]], dtype=complex)
         I = np.eye(3, dtype=complex)
-        M = mateq._similarity_systems(np.stack([A, A, I]), np.stack([A, I, I]))
+        M = mateq._similarity_systems(A, I)
         assert np.isfinite(M).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
