@@ -3,7 +3,8 @@
 Every command prints a single JSON document
 ``{"command": ..., "status": ..., "payload": ...}`` on stdout and uses the
 exit code contract 0 = ok, 1 = violation (a mathematical check failed),
-2 = error (bad input or IO, a malformed command line included; only
+2 = error (bad input or IO, a malformed command line included, or a
+result holding a number that is not finite, which JSON cannot carry; only
 ``--help`` prints usage, with exit code 0).  Diagnostics go to stderr.
 Randomized commands require an explicit ``--seed``.
 """
@@ -251,6 +252,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         code, payload = _HANDLERS[command](args)
+        # JSON has no NaN or Infinity: a payload number that is not finite
+        # raises ValueError here, which gives an error document
+        json.dumps(payload, allow_nan=False)
     except (_UsageError, OSError, json.JSONDecodeError, ValueError, so3c.Singular) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code, payload = ERROR, {"message": str(exc)}

@@ -8,10 +8,19 @@ Two scalar worlds coexist and never mix inside one matrix:
                in lowest terms.  Every operation works on plain ints and
                reduces once; equality is mathematical equality.
 * floating  -- the built-in ``complex``.  NaN and infinite entries are
-               rejected when a matrix or vector is constructed.
+               rejected when a matrix or vector is constructed, from
+               outside input or from arithmetic.
 
 Vectors are *row* coordinate vectors throughout: a linear map with matrix
-``A`` sends ``v`` to ``v @ A``.
+``A`` sends ``v`` to ``v @ A``.  ``Vec3``, ``Mat2`` and ``Mat3`` store one
+flat tuple ``entries`` (row-major) beside ``kind``, with ``rows`` and
+``coords`` as read-only views, and share one set of elementwise operations.
+
+Python-scalar 3x3 work reads one kernel on nine entries, which builds no
+``Mat3``: :func:`cofactors` (determinant and adjugate), :func:`gram` (X'Y)
+and :func:`frobenius_distance`.  ``Mat3`` and the membership, automorphism,
+symmetry and witness tests read it.  Floating overflow in the kernel gives
+inf or nan, never an exception, so those tests answer near the float range.
 
 Exact decisions read one kernel on Gaussian-integer numerators, ``(re, im)``
 int pairs over one common denominator (:func:`numerator_vectors`):
@@ -53,6 +62,9 @@ __all__ = [
     "ad",
     "contract",
     "rank_numerators",
+    "cofactors",
+    "gram",
+    "frobenius_distance",
     "eigenvalues",
     "jordan_signature",
 ]
@@ -300,58 +312,89 @@ def _coerce_scalars(values, where="entries"):
     return tuple(out), EXACT
 
 
-def _one(kind):
-    return GaussianRational(1) if kind == EXACT else 1 + 0j
+class _Entries:
+    """The elementwise operations of :class:`Vec3`, :class:`Mat2` and
+    :class:`Mat3`, on the flat tuple ``entries`` of scalars of one ``kind``
+    (a matrix's rows one after another)."""
+
+    __slots__ = ("entries", "kind")
+    #: what the kind check's messages call the entries
+    _where = "entries"
+
+    @classmethod
+    def _of(cls, entries):
+        """The value with these flat entries, through the constructor's kind check."""
+        value = object.__new__(cls)
+        value.entries, value.kind = _coerce_scalars(entries, cls._where)
+        return value
+
+    def __add__(self, other):
+        return self._of([a + b for a, b in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        return self._of([a - b for a, b in zip(self.entries, other.entries)])
+
+    def __neg__(self):
+        return self._of([-a for a in self.entries])
+
+    def scale(self, s):
+        return self._of([s * a for a in self.entries])
+
+    def is_zero(self) -> bool:
+        return not any(self.entries)
+
+    def max_abs(self) -> float:
+        # hypot gives inf where abs() of a complex raises OverflowError
+        return max(math.hypot(z.real, z.imag) for z in map(complex, self.entries))
+
+    def to_floating(self):
+        if self.kind == FLOATING:
+            return self
+        return self._of([x.to_complex() for x in self.entries])
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.kind == other.kind and self.entries == other.entries
 
 
-def _scalar_abs(x) -> float:
-    return abs(complex(x))
-
-
-class Vec3:
+class Vec3(_Entries):
     """Row coordinate vector with three scalars of a single kind."""
 
-    __slots__ = ("coords", "kind")
+    __slots__ = ()
+    _where = "coordinates"
 
     def __init__(self, coords):
         cs = tuple(coords)
         if len(cs) != 3:
             raise ValueError("Vec3 needs exactly 3 coordinates")
-        self.coords, self.kind = _coerce_scalars(cs, "coordinates")
+        self.entries, self.kind = _coerce_scalars(cs, self._where)
+
+    @property
+    def coords(self) -> tuple:
+        return self.entries
 
     @classmethod
     def zero(cls, exact=True):
-        return cls([0, 0, 0]) if exact else cls([0j, 0j, 0j])
+        return cls._of([0, 0, 0] if exact else [0j, 0j, 0j])
 
     @classmethod
     def basis(cls, i, exact=True):
         """The i-th standard basis row vector, 0-indexed."""
         c = [0, 0, 0]
         c[i] = 1
-        return cls(c) if exact else cls([complex(x) for x in c])
+        return cls._of(c if exact else [complex(x) for x in c])
 
     def __getitem__(self, i):
-        return self.coords[i]
+        return self.entries[i]
 
     def __iter__(self):
-        return iter(self.coords)
-
-    def __add__(self, other):
-        return Vec3([a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        return Vec3([a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return Vec3([-a for a in self.coords])
-
-    def scale(self, s):
-        return Vec3([s * a for a in self.coords])
+        return iter(self.entries)
 
     def cross(self, other):
         """Cross product of the coordinate triples."""
-        x, y = self.coords, other.coords
-        return Vec3(
+        x, y = self.entries, other.entries
+        return self._of(
             [
                 x[1] * y[2] - x[2] * y[1],
                 x[2] * y[0] - x[0] * y[2],
@@ -361,39 +404,18 @@ class Vec3:
 
     def __matmul__(self, A: "Mat3") -> "Vec3":
         """Row vector times matrix."""
-        r = A.rows
-        x = self.coords
-        return Vec3(
-            [
-                x[0] * r[0][j] + x[1] * r[1][j] + x[2] * r[2][j]
-                for j in range(3)
-            ]
-        )
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def max_abs(self) -> float:
-        return max(_scalar_abs(c) for c in self.coords)
-
-    def to_floating(self) -> "Vec3":
-        if self.kind == FLOATING:
-            return self
-        return Vec3([c.to_complex() for c in self.coords])
-
-    def __eq__(self, other):
-        if not isinstance(other, Vec3):
-            return NotImplemented
-        return self.kind == other.kind and self.coords == other.coords
+        a = A.entries
+        x0, x1, x2 = self.entries
+        return self._of([x0 * a[j] + x1 * a[3 + j] + x2 * a[6 + j] for j in range(3)])
 
     def __repr__(self):
-        return f"Vec3({list(self.coords)!r})"
+        return f"Vec3({list(self.entries)!r})"
 
 
-class _SquareMatrix:
+class _SquareMatrix(_Entries):
     """Shared plumbing for the fixed-size matrix classes."""
 
-    __slots__ = ("rows", "kind")
+    __slots__ = ()
     _n = 0
 
     def __init__(self, rows):
@@ -401,109 +423,65 @@ class _SquareMatrix:
         n = self._n
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"{type(self).__name__} needs {n}x{n} entries")
-        flat, kind = _coerce_scalars([x for r in rows for x in r])
-        self.rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-        self.kind = kind
+        self.entries, self.kind = _coerce_scalars([x for r in rows for x in r])
+
+    @property
+    def rows(self) -> tuple:
+        e, n = self.entries, self._n
+        return tuple(e[i : i + n] for i in range(0, n * n, n))
 
     @classmethod
     def zero(cls, exact=True):
-        z = 0 if exact else 0j
-        return cls([[z] * cls._n for _ in range(cls._n)])
+        return cls._of([0 if exact else 0j] * cls._n**2)
 
     @classmethod
     def identity(cls, exact=True):
         z, o = (0, 1) if exact else (0j, 1 + 0j)
-        return cls([[o if i == j else z for j in range(cls._n)] for i in range(cls._n)])
+        n = cls._n
+        return cls._of([o if i % (n + 1) == 0 else z for i in range(n * n)])
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
-
-    def __add__(self, other):
-        return type(self)(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        return type(self)(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __neg__(self):
-        return type(self)([[-a for a in r] for r in self.rows])
-
-    def scale(self, s):
-        return type(self)([[s * a for a in r] for r in self.rows])
+        return self.entries[i * self._n + j]
 
     def __matmul__(self, other):
         n = self._n
-        a, b = self.rows, other.rows
+        a, b = self.entries, other.entries
+        cells = [(i, j) for i in range(0, n * n, n) for j in range(n)]
         if self.kind == EXACT:
             # start each sum at its first product: no zero to build and add
-            return type(self)(
-                [
-                    [sum((a[i][k] * b[k][j] for k in range(1, n)), a[i][0] * b[0][j])
-                     for j in range(n)]
-                    for i in range(n)
-                ]
+            return self._of(
+                [sum((a[i + k] * b[k * n + j] for k in range(1, n)), a[i] * b[j]) for i, j in cells]
             )
         # floating sums start at 0j, which turns a first product of -0.0 into
         # +0.0; floating products and their JSON keep that sign of zero
-        return type(self)(
-            [[sum((a[i][k] * b[k][j] for k in range(n)), 0j) for j in range(n)] for i in range(n)]
-        )
+        return self._of([sum((a[i + k] * b[k * n + j] for k in range(n)), 0j) for i, j in cells])
 
     def transpose(self):
-        n = self._n
-        return type(self)([[self.rows[j][i] for j in range(n)] for i in range(n)])
+        n, e = self._n, self.entries
+        return self._of([e[j * n + i] for i in range(n) for j in range(n)])
 
     def trace(self):
-        n = self._n
-        t = self.rows[0][0]
+        n, e = self._n, self.entries
+        t = e[0]
         for i in range(1, n):
-            t = t + self.rows[i][i]
+            t = t + e[i * (n + 1)]
         return t
 
-    def is_zero(self) -> bool:
-        return not any(x for r in self.rows for x in r)
-
     def frobenius_norm(self) -> float:
-        if self.kind == EXACT:
-            s = sum((x.abs_squared() for r in self.rows for x in r), Fraction(0))
-            return math.sqrt(float(s))
-        return math.sqrt(sum(abs(x) ** 2 for r in self.rows for x in r))
-
-    def max_abs(self) -> float:
-        return max(_scalar_abs(x) for r in self.rows for x in r)
-
-    def to_floating(self):
-        if self.kind == FLOATING:
-            return self
-        return type(self)([[x.to_complex() for x in r] for r in self.rows])
+        return frobenius_distance(self.entries, (0,) * len(self.entries))
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(
-            [[complex(x) for x in r] for r in self.rows], dtype=complex
-        )
+        n = self._n
+        return np.array([complex(x) for x in self.entries], dtype=complex).reshape(n, n)
 
     @classmethod
     def from_numpy(cls, arr) -> "_SquareMatrix":
         return cls(np.asarray(arr, dtype=complex).tolist())
 
     def close_to(self, other, tol: float) -> bool:
-        a = self.to_numpy() - other.to_numpy()
-        return float(np.sqrt((abs(a) ** 2).sum())) <= tol
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.kind == other.kind and self.rows == other.rows
+        X, Y = ([complex(x) for x in M.entries] for M in (self, other))
+        return frobenius_distance(X, Y) <= tol
 
     def __repr__(self):
         body = ", ".join(repr(list(r)) for r in self.rows)
@@ -517,20 +495,15 @@ class Mat2(_SquareMatrix):
     _n = 2
 
     def det(self):
-        r = self.rows
-        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
+        a, b, c, d = self.entries
+        return a * d - b * c
 
     def inverse(self) -> "Mat2":
-        d = self.det()
-        r = self.rows
-        if not d:
+        det = self.det()
+        if not det:
             raise ZeroDivisionError("singular 2x2 matrix")
-        return Mat2(
-            [
-                [r[1][1] / d, -r[0][1] / d],
-                [-r[1][0] / d, r[0][0] / d],
-            ]
-        )
+        a, b, c, d = self.entries
+        return self._of([d / det, -b / det, -c / det, a / det])
 
 
 class Mat3(_SquareMatrix):
@@ -538,7 +511,8 @@ class Mat3(_SquareMatrix):
 
     Hosts the matrix operations the rest of the package is built on:
     transpose, adjugate, determinant, characteristic polynomial, rank and
-    the symmetric/antisymmetric split.
+    the symmetric/antisymmetric split.  The determinant and the adjugate
+    are read off :func:`cofactors`.
     """
 
     __slots__ = ()
@@ -550,32 +524,21 @@ class Mat3(_SquareMatrix):
         return cls([[a, z, z], [z, b, z], [z, z, c]])
 
     def row(self, i) -> Vec3:
-        return Vec3(self.rows[i])
+        return Vec3(self.entries[3 * i : 3 * i + 3])
 
     def det(self):
-        r = self.rows
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
-
-    def _cofactor(self, i, j):
-        rs = [k for k in range(3) if k != i]
-        cs = [k for k in range(3) if k != j]
-        r = self.rows
-        m = r[rs[0]][cs[0]] * r[rs[1]][cs[1]] - r[rs[0]][cs[1]] * r[rs[1]][cs[0]]
-        return m if (i + j) % 2 == 0 else -m
+        return cofactors(self.entries)[1]
 
     def adjugate(self) -> "Mat3":
         """Transpose of the cofactor matrix; ``A @ A.adjugate() == det(A) * I``."""
-        return Mat3([[self._cofactor(j, i) for j in range(3)] for i in range(3)])
+        cof = cofactors(self.entries)[0]
+        return self._of(cof[0::3] + cof[1::3] + cof[2::3])
 
     def inverse(self) -> "Mat3":
         d = self.det()
         if not d:
             raise ZeroDivisionError("singular 3x3 matrix")
-        one = _one(self.kind)
+        one = GaussianRational(1) if self.kind == EXACT else 1 + 0j
         return self.adjugate().scale(one / d)
 
     def char_poly(self):
@@ -600,11 +563,39 @@ class Mat3(_SquareMatrix):
         if self.kind == EXACT:
             if tol not in (None, 0, 0.0):
                 raise ValueError("exact rank requires tol=0")
-            return rank_numerators(numerator_vectors([x for r in self.rows for x in r], True)[0])
+            return rank_numerators(numerator_vectors(self.entries, True)[0])
         if tol is None:
             tol = DEFAULT_RANK_TOL
         sv = np.linalg.svd(self.to_numpy(), compute_uv=False)
         return rank_decisions(sv[None], tol, floor)[0][0]
+
+
+def cofactors(X):
+    """The cofactor matrix of X, which is det(X) X^-T, as nine entries, and
+    det(X); the adjugate is the cofactor matrix transposed."""
+    a, b, c, d, e, f, g, h, i = X
+    cof = [
+        e * i - f * h, f * g - d * i, d * h - e * g,
+        c * h - b * i, a * i - c * g, b * g - a * h,
+        b * f - c * e, c * d - a * f, a * e - b * d,
+    ]
+    return cof, a * cof[0] + b * cof[1] + c * cof[2]
+
+
+def gram(X, Y) -> list:
+    """X' Y for two matrices of nine entries, as nine entries."""
+    return [X[r] * Y[c] + X[r + 3] * Y[c + 3] + X[r + 6] * Y[c + 6]
+            for r in (0, 1, 2) for c in (0, 1, 2)]
+
+
+def frobenius_distance(X, Y) -> float:
+    """||X - Y||_F for two sequences of entries of one kind: exact entries
+    sum their squared moduli exactly; floating ones go through
+    ``math.hypot``, which gives inf past the float range."""
+    diffs = [x - y for x, y in zip(X, Y)]
+    if isinstance(diffs[0], GaussianRational):
+        return math.sqrt(sum((z.abs_squared() for z in diffs), Fraction(0)))
+    return math.hypot(*[z.real for z in diffs], *[z.imag for z in diffs])
 
 
 def rank_decisions(sv, tol: float, floor) -> list:

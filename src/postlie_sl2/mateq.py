@@ -28,8 +28,8 @@ from fractions import Fraction
 from . import so3c
 from ._numpy import np
 from .linalg import (
-    EXACT, GaussianRational, Mat3, ad, contract, numerator_vectors, rank_decisions,
-    rank_numerators, times,
+    EXACT, GaussianRational, Mat3, ad, cofactors, contract, frobenius_distance, gram,
+    numerator_vectors, rank_decisions, rank_numerators, times,
 )
 
 __all__ = [
@@ -179,7 +179,7 @@ def _residual_numerators(A: Mat3):
     of :func:`linalg.numerator_vectors`, as rows of pairs; with N and D.
     Row i is column i of N times (tr N + D) I - N, plus column i+2 cross
     column i+1, which is minus row i of adj(N)."""
-    N, D = numerator_vectors([x for row in A.rows for x in row], True)
+    N, D = numerator_vectors(A.entries, True)
     cols = list(zip(*N))
     trace = ((N[0][0][0] + N[1][1][0] + N[2][2][0] + D, N[0][0][1] + N[1][1][1] + N[2][2][1]),)
     neg = [times(c, -1) for c in cols]
@@ -389,35 +389,13 @@ def _congruence_nullities(A, B):
 
 
 # The witness search holds a 3x3 matrix as its nine entries, row-major, as
-# Python complex numbers: at this size numpy's per-call cost outweighs the
-# arithmetic.  Overflow gives inf or nan, but abs() raises OverflowError
-# when a modulus exceeds the float range.
+# Python complex numbers, and reads the nine-entry kernel of ``linalg``
+# (cofactors, X'Y, Frobenius distance): at this size numpy's per-call cost
+# outweighs the arithmetic.  Overflow gives inf or nan, but abs() raises
+# OverflowError when a modulus exceeds the float range.
 
 _IDENTITY = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 _ZERO = (0,) * 9
-
-
-def _gram(X, Y) -> list:
-    """X' Y for two matrices of nine entries."""
-    return [X[r] * Y[c] + X[r + 3] * Y[c + 3] + X[r + 6] * Y[c + 6]
-            for r in (0, 1, 2) for c in (0, 1, 2)]
-
-
-def _cofactors(X):
-    """The cofactor matrix of X, which is det(X) X^-T, and det(X)."""
-    a, b, c, d, e, f, g, h, i = X
-    cof = [
-        e * i - f * h, f * g - d * i, d * h - e * g,
-        c * h - b * i, a * i - c * g, b * g - a * h,
-        b * f - c * e, c * d - a * f, a * e - b * d,
-    ]
-    return cof, a * cof[0] + b * cof[1] + c * cof[2]
-
-
-def _frobenius_distance(X, Y) -> float:
-    """||X - Y||_F; inf when it exceeds the float range."""
-    diffs = [x - y for x, y in zip(X, Y)]
-    return math.hypot(*[z.real for z in diffs], *[z.imag for z in diffs])
 
 
 def _orthogonal_polar_factor(S, max_iter: int = 60):
@@ -434,7 +412,7 @@ def _orthogonal_polar_factor(S, max_iter: int = 60):
     for _ in range(max_iter):
         if not defect >= 1e-12:  # converged, or no longer finite
             break
-        cof, det = _cofactors(X)
+        cof, det = cofactors(X)
         try:
             X = [(x + y / det) * 0.5 for x, y in zip(X, cof)]
         except ZeroDivisionError:  # singular iterate
@@ -466,7 +444,7 @@ def _witness_from_start(basis: np.ndarray, A, B, seed: int, start: int, tol: flo
     rng = np.random.default_rng([seed, start])
     c0 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     S0 = np.dot(c0, basis.reshape(len(basis), 9)).tolist()
-    scale = _frobenius_distance(S0, _ZERO)
+    scale = frobenius_distance(S0, _ZERO)
     if scale < 1e-12:
         return None
     try:
@@ -474,15 +452,15 @@ def _witness_from_start(basis: np.ndarray, A, B, seed: int, start: int, tol: flo
         S, defect = _orthogonal_polar_factor([x * unit for x in S0])
         if not defect <= 1e-10:
             return None
-        det = _cofactors(S)[1]
+        det = cofactors(S)[1]
         if abs(det + 1) <= tol:
             S = [-x for x in S]  # odd dimension: -S is orthogonal with determinant +1
-            det = _cofactors(S)[1]
+            det = cofactors(S)[1]
         # each check must pass, so a defect that is NaN rejects the witness
         if (
             abs(det - 1) <= tol
-            and _frobenius_distance(_gram(S, S), _IDENTITY) <= tol
-            and _frobenius_distance(_gram(_gram(A, S), S), B) <= tol
+            and frobenius_distance(gram(S, S), _IDENTITY) <= tol
+            and frobenius_distance(gram(gram(A, S), S), B) <= tol
         ):
             return S
     except OverflowError:  # a modulus beyond the float range
@@ -517,11 +495,10 @@ def congruence_test(
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    A9 = [x for row in A.to_floating().rows for x in row]
-    B9 = [x for row in B.to_floating().rows for x in row]
+    A9, B9 = A.to_floating().entries, B.to_floating().entries
     dims, decided, basis = _congruence_nullities(A9, B9)
     nullities = (dims, decided)
-    if _frobenius_distance(A9, B9) <= tol:
+    if frobenius_distance(A9, B9) <= tol:
         return CongruenceVerdict.congruent(Mat3.identity(exact=False), nullities)
     if all(decided) and len(set(dims)) > 1:
         invariant = "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = " + str(dims)

@@ -154,7 +154,8 @@ def circ_from_matrix(A: Mat3) -> StructureConstants:
     each entry is an entry of A, its negation or zero.
     """
     zero = GaussianRational(0) if A.kind == EXACT else 0j
-    return StructureConstants([ad([-x for x in f], f, zero) for f in A.rows])
+    rows = A.entries[0:3], A.entries[3:6], A.entries[6:9]
+    return StructureConstants([ad([-x for x in f], f, zero) for f in rows])
 
 
 #: structure constants of the fixed Lie bracket: x o y = [x, y] for f = id
@@ -195,11 +196,14 @@ def matrix_from_circ(c: StructureConstants, tol: float = 1e-9) -> Mat3:
 # one power of D, and an exact zero test is an integer test.  Floating
 # scalars run the same loops as float pairs over D = 1.0 (both from
 # ``linalg.numerator_vectors``).  A triple of pairs is a coordinate vector;
-# a triple of those, a 3x3 matrix acting on row vectors.  postlie-3 is
-# antisymmetric in (b, d), postlie-4 in (a, b) and rota-baxter in (i, j), so
-# exact mode contracts only the instances with b < d, a < b or i < j: it
-# negates them for the mirrored instances and gives zero on the diagonal.
-# Floating mode contracts every instance: a negation rounds unlike a sum.
+# a triple of those, a 3x3 matrix acting on row vectors.  rota-baxter is
+# antisymmetric in (i, j), so exact mode contracts only the instances with
+# i < j: it negates them for the mirrored instances and gives zero on the
+# diagonal.  Floating mode contracts every instance: a negation rounds
+# unlike a sum.  postlie-3 is antisymmetric in (b, d) and postlie-4 in
+# (a, b), but the general postlie contractions run every instance in both
+# modes: in exact arithmetic a mirrored instance comes out as the exact
+# negation of its partner, and a diagonal one as zero.
 #
 # Exact check_postlie first tries the derivation form.  Write L_d = C[d],
 # so x -> e_d o x is x @ L_d.  The postlie-4 defect at (a, b, d) is
@@ -254,37 +258,30 @@ def _table_form(c: StructureConstants):
 _BRACKET = _table_form(LIE_BRACKET)[0]
 
 
-def _postlie_defects(C, D, exact):
+def _postlie_defects(C, D):
     # C[d] is the matrix of x -> e_d o x, right[a] that of x -> x o e_a
     right = [_column(C, a) for a in range(3)]
     right_bracket = [_column(_BRACKET, a) for a in range(3)]
     neg = [[times(v, -1) for v in row] for row in C]
     bracket_d = [[times(v, D) for v in row] for row in _BRACKET]
-    three, four = {}, {}
     for a in range(3):
         for b in range(3):
             for d in range(3):
-                if exact and b >= d:
-                    r = _ZERO if b == d else times(three[a, d, b], -1)
-                else:
-                    # z o (y o x) - y o (z o x) + (y o z) o x - (z o y) o x + [y,z] o x
-                    r = three[a, b, d] = contract(
-                        (C[b][a], C[d]),
-                        (neg[d][a], C[b]),
-                        (C[b][d], right[a]),
-                        (neg[d][b], right[a]),
-                        (bracket_d[b][d], right[a]),
-                    )
+                # z o (y o x) - y o (z o x) + (y o z) o x - (z o y) o x + [y,z] o x
+                r = contract(
+                    (C[b][a], C[d]),
+                    (neg[d][a], C[b]),
+                    (C[b][d], right[a]),
+                    (neg[d][b], right[a]),
+                    (bracket_d[b][d], right[a]),
+                )
                 yield "postlie-3", (a + 1, b + 1, d + 1), 2, r
-                if exact and a >= b:
-                    r = _ZERO if a == b else times(four[b, a, d], -1)
-                else:
-                    # z o [x,y] - [z o x, y] - [x, z o y]
-                    r = four[a, b, d] = contract(
-                        (_BRACKET[a][b], C[d]),
-                        (neg[d][a], right_bracket[b]),
-                        (C[d][b], right_bracket[a]),
-                    )
+                # z o [x,y] - [z o x, y] - [x, z o y]
+                r = contract(
+                    (_BRACKET[a][b], C[d]),
+                    (neg[d][a], right_bracket[b]),
+                    (C[d][b], right_bracket[a]),
+                )
                 yield "postlie-4", (a + 1, b + 1, d + 1), 1, r
 
 
@@ -322,7 +319,7 @@ def check_postlie(c: StructureConstants, tol: float = 1e-9) -> list[IdentityViol
     C, D, exact = _table_form(c)
     if exact and all(_antisymmetric(L) for L in C):
         return _violations(_derivation_postlie_defects(C, D), D, exact, tol)
-    return _violations(_postlie_defects(C, D, exact), D, exact, tol)
+    return _violations(_postlie_defects(C, D), D, exact, tol)
 
 
 def derived_bracket(c: StructureConstants) -> StructureConstants:
@@ -384,7 +381,7 @@ def check_rota_baxter(A: Mat3, tol: float = 1e-9) -> list[IdentityViolation]:
     """Check on all basis pairs that f given by the rows of A satisfies
     [f(x),f(y)] = f([f(x),y] + [x,f(y)] + [x,y])."""
     exact = A.kind == EXACT
-    F, D = numerator_vectors([x for row in A.rows for x in row], exact)
+    F, D = numerator_vectors(A.entries, exact)
     return _violations(_rota_baxter_defects(F, D, exact), D, exact, tol)
 
 

@@ -6,6 +6,10 @@ adjoint representation of invertible 2x2 matrices, and the test for a 3x3
 matrix to induce a Lie algebra automorphism in the fixed basis.  The
 samplers return plain ``Mat3`` values; a floating draw passes membership at
 ``MEMBERSHIP_TOL``.
+
+The membership and automorphism tests read the nine-entry kernel of
+``linalg``: an overflowing T'T or cofactor gives a defect of inf or nan,
+which fails every tolerance, so they answer False instead of raising.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import random
 from fractions import Fraction
 
 from ._numpy import np
-from .linalg import EXACT, GaussianRational, Mat2, Mat3
+from .linalg import EXACT, GaussianRational, Mat2, Mat3, cofactors, frobenius_distance, gram
 from .sl2 import basis_2x2, coords_from_2x2
 
 __all__ = [
@@ -38,6 +42,8 @@ MEMBERSHIP_TOL = 1e-10
 #: norm are rejected so that downstream float error stays ~1e-13 (about 6% of
 #: raw Cayley draws)
 _NORM_GUARD = 10.0
+#: the identity matrix as nine entries, row-major
+_IDENTITY = [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 class NotOrthogonal(ValueError):
@@ -50,15 +56,17 @@ class Singular(ZeroDivisionError):
 
 def membership_defects(T: Mat3) -> tuple[float, float]:
     """``(||T' T - I||_F, |det T - 1|)``, computed in T's own arithmetic, so
-    both read 0.0 for an exact T in SO(3,C)."""
-    I = Mat3.identity(exact=T.kind == EXACT)
-    return (T.transpose() @ T - I).frobenius_norm(), abs(complex(T.det() - 1))
+    both read 0.0 for an exact T in SO(3,C); a floating defect past the
+    float range is inf or nan."""
+    X = T.entries
+    return frobenius_distance(gram(X, X), _IDENTITY), frobenius_distance([cofactors(X)[1]], [1])
 
 
 def is_special_orthogonal(T: Mat3, tol: float = 1e-8) -> bool:
     """True when T' T = I and det T = 1, exactly or to ``tol``."""
+    X = T.entries
     if T.kind == EXACT:
-        return T.transpose() @ T == Mat3.identity() and T.det() == GaussianRational(1)
+        return gram(X, X) == _IDENTITY and cofactors(X)[1] == 1
     gram_defect, det_defect = membership_defects(T)
     return gram_defect <= tol and det_defect <= tol
 
@@ -138,9 +146,10 @@ def automorphism_check(T: Mat3, tol: float = 1e-10) -> bool:
     """True iff T induces a Lie algebra automorphism in the fixed basis.
 
     Bracket preservation on all basis pairs is equivalent to the adjugate
-    identity (T*)' = T, which is what gets evaluated here.
+    identity (T*)' = T, which is what gets evaluated here: the cofactor
+    matrix of T equals T.
     """
-    lhs = T.adjugate().transpose()
+    cof = cofactors(T.entries)[0]
     if T.kind == EXACT:
-        return lhs == T
-    return (lhs - T).frobenius_norm() <= tol
+        return cof == list(T.entries)
+    return frobenius_distance(cof, T.entries) <= tol

@@ -22,6 +22,7 @@ from .linalg import (
     GaussianRational,
     IllConditioned,
     Mat3,
+    frobenius_distance,
     jordan_signature,
 )
 
@@ -174,11 +175,14 @@ def canonical_matrix(f: SymCanonicalForm) -> Mat3:
 
 
 def _require_symmetric(S: Mat3, tol: float) -> None:
-    """Exact input must equal its transpose; floating input within ``tol``."""
+    """Exact input must equal its transpose; floating input within ``tol``,
+    where a distance past the float range is inf and fails."""
+    X = S.entries
+    transposed = X[0::3] + X[1::3] + X[2::3]
     if S.kind == EXACT:
-        if S != S.transpose():
+        if X != transposed:
             raise NotSymmetric("input is not symmetric")
-    elif (S - S.transpose()).frobenius_norm() > tol:
+    elif frobenius_distance(X, transposed) > tol:
         raise NotSymmetric("input is not symmetric at the tolerance")
 
 

@@ -518,3 +518,31 @@ def reference_polar_iterates(S: np.ndarray, max_iter: int = 60):
         iterates.append(X)
         defects.append(float(np.abs(X.T @ X - np.eye(3)).max()))
     return iterates, defects
+
+
+# The SO(3,C) membership and automorphism decisions as Mat3 formulas, the
+# way the package computed them before its nine-entry kernel: T'T and the
+# adjugate through nested lists, the determinant expanded along the first
+# row, and the Frobenius norm as sqrt(sum |x|^2).
+
+
+def _reference_frobenius(a) -> float:
+    return math.sqrt(sum(abs(x) ** 2 for row in a for x in row))
+
+
+def reference_is_special_orthogonal(T: Mat3, tol: float = 1e-8) -> bool:
+    rows = [list(r) for r in T.rows]
+    gram = reference_matmul(reference_transpose(rows), rows)
+    det = reference_det(rows)
+    if T.kind == EXACT:
+        return all(gram[i][j] == (i == j) for i in range(3) for j in range(3)) and det == 1
+    defect = _reference_frobenius([[gram[i][j] - (i == j) for j in range(3)] for i in range(3)])
+    return defect <= tol and abs(det - 1) <= tol
+
+
+def reference_automorphism_check(T: Mat3, tol: float = 1e-10) -> bool:
+    rows = [list(r) for r in T.rows]
+    lhs = reference_transpose(reference_adjugate(rows))
+    if T.kind == EXACT:
+        return lhs == rows
+    return _reference_frobenius([[x - y for x, y in zip(p, q)] for p, q in zip(lhs, rows)]) <= tol

@@ -174,6 +174,25 @@ def test_bad_input_is_one_error_document(tmp_path, command, content):
     assert doc["status"] == "error"
 
 
+def test_non_finite_result_is_one_error_document(tmp_path):
+    # diag(1e78, 1e-78) is invertible, but T'T of its adjoint representation
+    # overflows, so the orthogonality residual is not finite; JSON has no
+    # NaN or Infinity
+    path = write_json(tmp_path, "p.json", [[[1e78, 0], [0, 0]], [[0, 0], [1e-78, 0]]])
+    proc = python("-m", "postlie_sl2", "adjoint-rep", path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+    def refuse(constant):
+        raise AssertionError(f"stdout holds {constant}")
+
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0], parse_constant=refuse)
+    assert (doc["command"], doc["status"]) == ("adjoint-rep", "error")
+    assert doc["payload"]["message"]
+
+
 def test_exponent_notation_is_refused_at_once(tmp_path):
     # Fraction would expand this 30-byte entry to thirty million digits,
     # more than a minute of work

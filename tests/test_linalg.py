@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postlie_sl2 import so3c
+from postlie_sl2 import linalg, so3c
 from postlie_sl2.linalg import (
     EXACT,
     GaussianRational,
     IM,
     IllConditioned,
+    Mat2,
     Mat3,
     Vec3,
     eigenvalues,
@@ -31,6 +33,7 @@ from conftest import (
     reference_rank,
     reference_rank_decisions,
     reference_residual,
+    reference_transpose,
 )
 
 rationals = st.fractions(
@@ -310,6 +313,140 @@ class TestMatmul:
             ]
             got = (A @ B).rows
             assert repr(got) == repr(tuple(tuple(r) for r in want))
+
+
+def _nine(rows) -> list:
+    return [GaussianRational(x.re, x.im) for r in rows for x in r]
+
+
+def _flat(rows) -> list:
+    return [x for r in rows for x in r]
+
+
+def _signed_zero_matrices(seed, count):
+    """Floating 3x3 arrays whose entries mix 0.0, -0.0 and small values in
+    both components, so that many products and differences are zeros."""
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, 1.5, -0.25, 2.0])
+    for _ in range(count):
+        yield rng.choice(values, (3, 3)) + 1j * rng.choice(values, (3, 3))
+
+
+class TestNineEntryKernel:
+    """``cofactors``, ``gram`` and ``frobenius_distance`` on nine entries,
+    the 3x3 kernel that Mat3, so3c, symcanon and the witness search read."""
+
+    @given(reference_matrices(), reference_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_against_reference(self, a, b):
+        cof, det = linalg.cofactors(_nine(a))
+        assert _agrees(det, reference_det(a))
+        # the cofactor matrix is the adjugate transposed
+        want = _flat(reference_transpose(reference_adjugate(a)))
+        assert all(_agrees(c, r) for c, r in zip(cof, want))
+        want = _flat(reference_matmul(reference_transpose(a), b))
+        assert all(_agrees(g, r) for g, r in zip(linalg.gram(_nine(a), _nine(b)), want))
+
+    def test_floating_with_signed_zeros_against_reference(self):
+        # values agree; -0.0 == 0.0, so a zero may carry either sign
+        for a in _signed_zero_matrices(5, 200):
+            rows, X = a.tolist(), a.ravel().tolist()
+            cof, det = linalg.cofactors(X)
+            assert det == reference_det(rows)
+            assert cof == _flat(reference_transpose(reference_adjugate(rows)))
+            b = a.T.conj()
+            want = _flat(reference_matmul(reference_transpose(rows), b.tolist()))
+            assert linalg.gram(X, b.ravel().tolist()) == want
+
+    def test_mat3_reads_the_kernel(self):
+        for a in _signed_zero_matrices(6, 50):
+            A = Mat3.from_numpy(a)
+            cof, det = linalg.cofactors(A.entries)
+            assert _bits(A.det()) == _bits(det)
+            adjugate = cof[0::3] + cof[1::3] + cof[2::3]
+            assert [_bits(x) for x in A.adjugate().entries] == [_bits(x) for x in adjugate]
+
+    def test_frobenius_distance(self):
+        X = [GaussianRational(3, 4)] + [GaussianRational(0)] * 8
+        assert linalg.frobenius_distance(X, (0,) * 9) == 5.0
+        assert linalg.frobenius_distance([3 + 4j, 1j], [0j, 1j]) == 5.0
+        # past the float range: a finite value or inf, never OverflowError
+        assert linalg.frobenius_distance([1e308 + 1e308j], [0j]) == pytest.approx(2**0.5 * 1e308)
+        assert linalg.frobenius_distance([1e308, -1e308], [-1e308, 1e308]) == math.inf
+
+    def test_overflow_gives_inf_or_nan(self):
+        X = [1e200 + 1e200j] * 9
+        cof, det = linalg.cofactors(X)
+        assert not all(map(cmath.isfinite, linalg.gram(X, X)))
+        assert not cmath.isfinite(det)
+        assert not linalg.frobenius_distance(linalg.gram(X, X), X) <= 1.0
+
+    def test_close_to(self):
+        A = Mat3([[1, IM, 0], [0, 2, 0], [0, 0, 3]])
+        assert A.close_to(A.to_floating(), 0.0) and A.to_floating().close_to(A, 0.0)
+        B = A.to_floating() + Mat3.diag(1e-9 + 0j, 0j, 0j)
+        assert A.close_to(B, 2e-9) and not A.close_to(B, 5e-10)
+        # the difference overflows: far, with no warning
+        big = Mat3.diag(1e308 + 0j, 0j, 0j)
+        assert not big.close_to(-big, 1.0)
+
+    def test_frobenius_norm_past_the_float_range(self):
+        # |x|**2 overflows here; hypot does not
+        z = 0j
+        A = Mat3([[1e308 + 1e308j, z, z], [z, z, z], [z, z, z]])
+        assert A.frobenius_norm() == pytest.approx(2**0.5 * 1e308)
+        assert A.frobenius_norm() == math.hypot(1e308, 1e308)
+
+
+class TestFlatEntries:
+    def test_entries_are_the_rows_row_major(self):
+        for M in (Mat3([[1, 2, 3], [4, 5, 6], [7, 8, IM]]), Mat2([[1j, 2.0], [3.0, 4.0]])):
+            assert M.entries == tuple(x for r in M.rows for x in r)
+            assert M.rows == tuple(tuple(r) for r in M.rows)
+            n = len(M.rows)
+            assert all(M[i, j] == M.rows[i][j] for i in range(n) for j in range(n))
+        v = Vec3([1, 2, 3])
+        assert v.coords is v.entries and tuple(v) == v.entries
+
+    def test_views_round_trip(self):
+        rng = np.random.default_rng(8)
+        floating = Mat3.from_numpy(rng.standard_normal((3, 3)) + 1j)
+        for M in (Mat3([[1, gr(2, 3), 0], [0, IM, 4], [5, 6, 7]]), floating):
+            assert Mat3(M.rows) == M
+            assert Mat3(M.rows).entries == M.entries
+        for M in (Mat2([[1, 2], [3, IM]]), Mat2([[1j, 0.5], [0j, -0.0]])):
+            assert Mat2(M.rows) == M
+        for v in (Vec3([gr(1, 2), 0, IM]), Vec3([1j, -0.0, 2.5])):
+            assert Vec3(v.coords) == v
+
+    def test_repr_unchanged(self):
+        assert repr(Mat3.identity(exact=False)) == (
+            "Mat3([[(1+0j), 0j, 0j], [0j, (1+0j), 0j], [0j, 0j, (1+0j)]])"
+        )
+        assert repr(Mat2([[1, 0], [0, IM]])) == (
+            "Mat2([[GaussianRational('1', '0'), GaussianRational('0', '0')], "
+            "[GaussianRational('0', '0'), GaussianRational('0', '1')]])"
+        )
+        assert repr(Vec3([1j, -0.0, 2])) == "Vec3([1j, (-0+0j), (2+0j)])"
+
+    def test_vectors_and_matrices_are_never_equal(self):
+        v, M, P = Vec3([0, 0, 0]), Mat3.zero(), Mat2.zero()
+        assert v != M and M != v and not (v == M)
+        assert M != P and P != M
+        assert Vec3([1, 2, 3]) != Mat3.diag(1, 2, 3)
+
+    def test_arithmetic_results_are_still_checked(self):
+        big = Mat3.diag(1e308 + 0j, 1 + 0j, 1 + 0j)
+        with pytest.raises(ValueError, match="non-finite value in entries"):
+            big + big
+        with pytest.raises(ValueError, match="non-finite value in entries"):
+            big @ big
+        with pytest.raises(ValueError, match="non-finite value in coordinates"):
+            Vec3([1e308, 0, 0]).scale(10.0)
+        with pytest.raises(ValueError, match="mixed exact and floating entries"):
+            Mat3.diag(IM, 2.0, 3)
+        with pytest.raises(ValueError, match="mixed exact and floating coordinates"):
+            Vec3([IM, 2.0, 3])
 
 
 # -- basic matrix operations -----------------------------------------------

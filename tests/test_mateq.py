@@ -202,6 +202,12 @@ class TestCongruate:
         with pytest.raises(so3c.NotOrthogonal):
             congruate(Mat3.zero(), Mat3.identity().scale(gr(2)))
 
+    def test_rejects_a_matrix_whose_gram_overflows(self):
+        # T'T overflows: the membership test answers, and congruate refuses T
+        T = Mat3([[1e200 + 0j, 1e200 + 0j, 0j], [0j, 1 + 0j, 0j], [0j, 0j, 1 + 0j]])
+        with pytest.raises(so3c.NotOrthogonal):
+            congruate(representative(FamilyTag.k_family(2 + 0j)), T)
+
 
 class TestReductionIdentities:
     def test_rank2_on_trace_minus_2(self):

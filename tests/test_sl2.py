@@ -163,6 +163,13 @@ class TestMatrixFromCirc:
         with pytest.raises(NotAdjointForm):
             matrix_from_circ(StructureConstants(table))
 
+    def test_not_adjoint_form_past_the_float_range(self):
+        # the defect 1.5e308(1 + i) has a modulus beyond the float range
+        table = [[Vec3.zero(exact=False) for _ in range(3)] for _ in range(3)]
+        table[0][1] = Vec3([0j, 0j, 1.5e308 + 1.5e308j])
+        with pytest.raises(NotAdjointForm):
+            matrix_from_circ(StructureConstants(table))
+
 
 class TestCheckPostlie:
     def test_zero_product(self):
@@ -175,6 +182,13 @@ class TestCheckPostlie:
         violations = check_postlie(circ_from_matrix(Mat3.identity()))
         assert violations
         assert all(v.identity == "postlie-3" for v in violations)
+
+    def test_defect_past_the_float_range_is_a_violation(self):
+        table = [[Vec3.zero(exact=False) for _ in range(3)] for _ in range(3)]
+        table[0][1] = Vec3([0j, 0j, 1.5e308 + 1.5e308j])
+        violations = check_postlie(StructureConstants(table))
+        assert violations
+        assert max(v.residual.max_abs() for v in violations) == float("inf")
 
 
 class TestDerivedBracket:
@@ -384,8 +398,11 @@ def _diagonal(v):
 
 
 class TestIndependentInstances:
-    """Exact mode contracts only the independent instances and reads the
-    mirrored ones as negated defects; the lists stay the oracle's."""
+    """A mirrored instance's defect is the negation of its partner's and a
+    diagonal one is zero: exact check_rota_baxter contracts only the
+    independent instances and reads the mirrored ones as negated defects,
+    and the general postlie contractions, which run every instance, give
+    the same negations; the lists stay the oracle's."""
 
     def test_all_off_diagonal_instances_fail_as_in_the_oracle(self):
         rng = np.random.default_rng(17)

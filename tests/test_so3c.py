@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,10 @@ from postlie_sl2.so3c import (
     random_so3_exact,
 )
 
-from conftest import gr
+from conftest import gr, reference_automorphism_check, reference_is_special_orthogonal
+
+#: a floating matrix whose T'T and cofactors overflow
+BIG = Mat3([[1e200 + 0j, 1e200 + 0j, 0j], [0j, 1 + 0j, 0j], [0j, 0j, 1 + 0j]])
 
 
 def random_mat2(rng) -> Mat2:
@@ -162,3 +166,71 @@ class TestAutomorphismCheck:
                     if (lhs - rhs).max_abs() > 1e-9:
                         preserved = False
             assert automorphism_check(T, 1e-9) == preserved
+
+
+def _near_group(rng, count):
+    """SO(3,C) elements, exact and floating, and matrices at distances from
+    the group that straddle the default tolerances: scalings (1 + s) T,
+    which move both defects by about 2s and 3s, and random perturbations."""
+    out = [random_so3_exact(seed) for seed in range(5)]
+    for seed, k in ((1, 3), (2, 9)):
+        out.append(random_so3_exact(seed) + Mat3.diag(gr(0, Fraction(1, 10**k)), 0, 0))
+    for seed in range(count):
+        T = random_so3(seed)
+        out.append(T)
+        for tol in (1e-8, 1e-10):
+            for factor in (0.3, 0.57, 0.58, 0.9, 0.99, 1.01, 1.1, 2.0):
+                out.append(T.scale(1 + factor * tol / 2))
+        for eps in (1e-12, 1e-11, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8):
+            E = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            out.append(Mat3.from_numpy(T.to_numpy() + eps * E))
+    return out
+
+
+class TestDecisionsAgainstMat3Formulas:
+    """The kernel's membership and automorphism decisions equal the Mat3
+    formulas of ``conftest`` on group elements and near the tolerances."""
+
+    def test_membership(self):
+        cases = _near_group(np.random.default_rng(31), 30)
+        for tol in (1e-8, 1e-10):
+            got = [is_special_orthogonal(T, tol) for T in cases]
+            assert got == [reference_is_special_orthogonal(T, tol) for T in cases]
+            # both answers occur, so the cases straddle the tolerance
+            assert any(got) and not all(got)
+
+    def test_automorphism(self):
+        cases = _near_group(np.random.default_rng(32), 30)
+        for tol in (1e-9, 1e-10):
+            got = [automorphism_check(T, tol) for T in cases]
+            assert got == [reference_automorphism_check(T, tol) for T in cases]
+            assert any(got) and not all(got)
+
+    def test_exact_decisions(self):
+        for seed in range(10):
+            T = random_so3_exact(seed)
+            nudged = T + Mat3.diag(0, 0, gr(Fraction(1, 10**12)))
+            for M in (T, nudged, T.scale(gr(-1))):
+                assert is_special_orthogonal(M) == reference_is_special_orthogonal(M)
+                assert automorphism_check(M) == reference_automorphism_check(M)
+            assert is_special_orthogonal(T) and not is_special_orthogonal(nudged)
+
+
+class TestOverflowAnswers:
+    """Near the float range the kernel's defects are inf or nan, which fail
+    every tolerance: the tests answer False instead of raising."""
+
+    def test_membership_of_an_overflowing_matrix(self):
+        assert is_special_orthogonal(BIG) is False
+        gram_defect, _ = so3c.membership_defects(BIG)
+        assert gram_defect == math.inf
+
+    def test_membership_of_a_group_element_whose_gram_overflows(self):
+        # diag(1e78, 1e-78) is invertible, so its adjoint representation lies
+        # in SO(3,C), but T'T has entries of 2.5e311
+        T = adjoint_rep(Mat2([[1e78 + 0j, 0j], [0j, 1e-78 + 0j]]))
+        assert is_special_orthogonal(T) is False
+        assert not math.isfinite(so3c.membership_defects(T)[0])
+
+    def test_automorphism_of_an_overflowing_matrix(self):
+        assert automorphism_check(BIG) is False

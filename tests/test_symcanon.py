@@ -173,6 +173,17 @@ class TestClassifySymmetric:
         with pytest.raises(NotSymmetric):
             classify_symmetric(Mat3([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
 
+    @pytest.mark.parametrize(
+        "upper, lower",
+        [(1e308 + 0j, -1e308 + 0j), (1e154 + 1e154j, 1e154 - 1e154j)],
+        ids=["difference-overflows", "modulus-squared-overflows"],
+    )
+    def test_not_symmetric_near_the_float_range(self, upper, lower):
+        # S - S' holds 2e308, or an entry whose squared modulus is 4e308
+        z = 0j
+        with pytest.raises(NotSymmetric):
+            classify_symmetric(Mat3([[z, upper, z], [lower, z, z], [z, z, 1 + 0j]]))
+
 
 class TestFindOrthogonalSimilarity:
     def test_reflexive(self):
