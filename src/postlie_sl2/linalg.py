@@ -12,15 +12,18 @@ Two scalar worlds coexist and never mix inside one matrix:
                outside input or from arithmetic.
 
 Vectors are *row* coordinate vectors throughout: a linear map with matrix
-``A`` sends ``v`` to ``v @ A``.  ``Vec3``, ``Mat2`` and ``Mat3`` store one
-flat tuple ``entries`` (row-major) beside ``kind``, with ``rows`` and
-``coords`` as read-only views, and share one set of elementwise operations.
+``A`` sends ``v`` to ``v @ A``.  ``Vec3``, ``Mat2``, ``Mat3`` and
+``sl2.StructureConstants`` store one flat tuple ``entries`` (row-major)
+beside ``kind``, with read-only views such as ``rows``, and share the
+elementwise operations of :class:`Entries`.
 
 Python-scalar 3x3 work reads one kernel on nine entries, which builds no
 ``Mat3``: :func:`cofactors` (determinant and adjugate), :func:`gram` (X'Y)
 and :func:`frobenius_distance`.  ``Mat3`` and the membership, automorphism,
-symmetry and witness tests read it.  Floating overflow in the kernel gives
-inf or nan, never an exception, so those tests answer near the float range.
+symmetry and witness tests read it.  Overflow gives inf or nan, never an
+exception, so those tests answer near the float range; on exact entries,
+an exact sum past the float range gives inf, and ``to_floating`` raises
+``ValueError`` naming the first entry beyond it.
 
 Exact decisions read one kernel on Gaussian-integer numerators, ``(re, im)``
 int pairs over one common denominator (:func:`numerator_vectors`):
@@ -51,6 +54,7 @@ from ._numpy import np
 __all__ = [
     "GaussianRational",
     "IM",
+    "Entries",
     "Vec3",
     "Mat3",
     "Mat2",
@@ -299,27 +303,24 @@ def _coerce_scalars(values, where="entries"):
     if has_float and has_exact:
         raise ValueError(f"mixed exact and floating {where}")
     if has_float:
-        out = []
-        for v in values:
-            z = complex(v)
-            if not (cmath.isfinite(z)):
-                raise ValueError(f"non-finite value in {where}: {v!r}")
-            out.append(z)
-        return tuple(out), FLOATING
-    out = []
-    for v in values:
-        out.append(v if isinstance(v, GaussianRational) else GaussianRational(v))
-    return tuple(out), EXACT
+        out = tuple(map(complex, values))
+        if not all(map(cmath.isfinite, out)):
+            bad = next(v for v, z in zip(values, out) if not cmath.isfinite(z))
+            raise ValueError(f"non-finite value in {where}: {bad!r}")
+        return out, FLOATING
+    return tuple(v if isinstance(v, GaussianRational) else GaussianRational(v) for v in values), EXACT
 
 
-class _Entries:
-    """The elementwise operations of :class:`Vec3`, :class:`Mat2` and
-    :class:`Mat3`, on the flat tuple ``entries`` of scalars of one ``kind``
-    (a matrix's rows one after another)."""
+class Entries:
+    """The elementwise operations of the flat values, on the tuple
+    ``entries`` of scalars of one ``kind``; values are unhashable and equal
+    only to values of their own class."""
 
     __slots__ = ("entries", "kind")
     #: what the kind check's messages call the entries
     _where = "entries"
+    #: the number of entries
+    _size = 0
 
     @classmethod
     def _of(cls, entries):
@@ -340,17 +341,27 @@ class _Entries:
     def scale(self, s):
         return self._of([s * a for a in self.entries])
 
+    @classmethod
+    def zero(cls, exact=True):
+        return cls._of([0 if exact else 0j] * cls._size)
+
     def is_zero(self) -> bool:
         return not any(self.entries)
 
     def max_abs(self) -> float:
-        # hypot gives inf where abs() of a complex raises OverflowError
-        return max(math.hypot(z.real, z.imag) for z in map(complex, self.entries))
+        # inf where abs() of a complex or a float conversion would raise
+        return max(frobenius_distance((z,), (0,)) for z in self.entries)
 
     def to_floating(self):
         if self.kind == FLOATING:
             return self
-        return self._of([x.to_complex() for x in self.entries])
+        out = []
+        for n, x in enumerate(self.entries):
+            try:
+                out.append(x.to_complex())
+            except OverflowError:
+                raise ValueError(f"{type(self).__name__} entry {n} exceeds the floating range") from None
+        return self._of(out)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -358,11 +369,12 @@ class _Entries:
         return self.kind == other.kind and self.entries == other.entries
 
 
-class Vec3(_Entries):
+class Vec3(Entries):
     """Row coordinate vector with three scalars of a single kind."""
 
     __slots__ = ()
     _where = "coordinates"
+    _size = 3
 
     def __init__(self, coords):
         cs = tuple(coords)
@@ -373,10 +385,6 @@ class Vec3(_Entries):
     @property
     def coords(self) -> tuple:
         return self.entries
-
-    @classmethod
-    def zero(cls, exact=True):
-        return cls._of([0, 0, 0] if exact else [0j, 0j, 0j])
 
     @classmethod
     def basis(cls, i, exact=True):
@@ -412,7 +420,7 @@ class Vec3(_Entries):
         return f"Vec3({list(self.entries)!r})"
 
 
-class _SquareMatrix(_Entries):
+class _SquareMatrix(Entries):
     """Shared plumbing for the fixed-size matrix classes."""
 
     __slots__ = ()
@@ -429,10 +437,6 @@ class _SquareMatrix(_Entries):
     def rows(self) -> tuple:
         e, n = self.entries, self._n
         return tuple(e[i : i + n] for i in range(0, n * n, n))
-
-    @classmethod
-    def zero(cls, exact=True):
-        return cls._of([0 if exact else 0j] * cls._n**2)
 
     @classmethod
     def identity(cls, exact=True):
@@ -480,8 +484,10 @@ class _SquareMatrix(_Entries):
         return cls(np.asarray(arr, dtype=complex).tolist())
 
     def close_to(self, other, tol: float) -> bool:
-        X, Y = ([complex(x) for x in M.entries] for M in (self, other))
-        return frobenius_distance(X, Y) <= tol
+        """||self - other||_F <= tol, on floating copies if the kinds differ."""
+        if self.kind != other.kind:
+            self, other = self.to_floating(), other.to_floating()
+        return frobenius_distance(self.entries, other.entries) <= tol
 
     def __repr__(self):
         body = ", ".join(repr(list(r)) for r in self.rows)
@@ -492,7 +498,7 @@ class Mat2(_SquareMatrix):
     """2x2 complex matrix over either scalar kind."""
 
     __slots__ = ()
-    _n = 2
+    _n, _size = 2, 4
 
     def det(self):
         a, b, c, d = self.entries
@@ -516,12 +522,11 @@ class Mat3(_SquareMatrix):
     """
 
     __slots__ = ()
-    _n = 3
+    _n, _size = 3, 9
 
     @classmethod
     def diag(cls, a, b, c):
-        z = 0 if not isinstance(a, (float, complex)) else 0j
-        return cls([[a, z, z], [z, b, z], [z, z, c]])
+        return cls([[a, 0, 0], [0, b, 0], [0, 0, c]])
 
     def row(self, i) -> Vec3:
         return Vec3(self.entries[3 * i : 3 * i + 3])
@@ -563,7 +568,7 @@ class Mat3(_SquareMatrix):
         if self.kind == EXACT:
             if tol not in (None, 0, 0.0):
                 raise ValueError("exact rank requires tol=0")
-            return rank_numerators(numerator_vectors(self.entries, True)[0])
+            return rank_numerators(numerator_vectors(self.entries)[0])
         if tol is None:
             tol = DEFAULT_RANK_TOL
         sv = np.linalg.svd(self.to_numpy(), compute_uv=False)
@@ -591,10 +596,13 @@ def gram(X, Y) -> list:
 def frobenius_distance(X, Y) -> float:
     """||X - Y||_F for two sequences of entries of one kind: exact entries
     sum their squared moduli exactly; floating ones go through
-    ``math.hypot``, which gives inf past the float range."""
+    ``math.hypot``.  Either gives inf past the float range."""
     diffs = [x - y for x, y in zip(X, Y)]
     if isinstance(diffs[0], GaussianRational):
-        return math.sqrt(sum((z.abs_squared() for z in diffs), Fraction(0)))
+        try:
+            return math.sqrt(sum((z.abs_squared() for z in diffs), Fraction(0)))
+        except OverflowError:  # the exact sum exceeds the float range
+            return math.inf
     return math.hypot(*[z.real for z in diffs], *[z.imag for z in diffs])
 
 
@@ -637,13 +645,13 @@ def rank_decisions(sv, tol: float, floor) -> list:
     return out
 
 
-def numerator_vectors(scalars, exact: bool):
-    """Consecutive triples of scalars as vectors of (re, im) pairs over one
-    positive common denominator D; returns the vectors and D.  Exact
-    scalars become plain ints over the lcm of their denominators, so a
-    polynomial of degree p in them is an int pair over D**p; floating
+def numerator_vectors(scalars):
+    """Consecutive triples of scalars of one kind as vectors of (re, im)
+    pairs over one positive common denominator D; returns the vectors and
+    D.  Exact scalars become plain ints over the lcm of their denominators,
+    so a polynomial of degree p in them is an int pair over D**p; floating
     scalars become float pairs over D = 1.0."""
-    if exact:
+    if isinstance(scalars[0], GaussianRational):
         D = math.lcm(*(z.den for z in scalars))
         pairs = [(z.num_re * (D // z.den), z.num_im * (D // z.den)) for z in scalars]
     else:

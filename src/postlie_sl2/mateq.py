@@ -179,7 +179,7 @@ def _residual_numerators(A: Mat3):
     of :func:`linalg.numerator_vectors`, as rows of pairs; with N and D.
     Row i is column i of N times (tr N + D) I - N, plus column i+2 cross
     column i+1, which is minus row i of adj(N)."""
-    N, D = numerator_vectors(A.entries, True)
+    N, D = numerator_vectors(A.entries)
     cols = list(zip(*N))
     trace = ((N[0][0][0] + N[1][1][0] + N[2][2][0] + D, N[0][0][1] + N[1][1][1] + N[2][2][1]),)
     neg = [times(c, -1) for c in cols]
@@ -491,7 +491,8 @@ def congruence_test(
     Witnesses satisfy T'T = I, det T = 1 and T' A T = B to ``tol``.  Every
     verdict carries the three dimensions as ``nullities``.  Raises
     ``ValueError`` for a negative ``budget``.
-    Exact operands are decided on their floating copies.
+    Exact operands are decided on floating copies (``ValueError`` when an
+    entry is beyond the float range).
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -639,7 +640,8 @@ def classify(
     for exact input and as a complex for floating input, on every branch.
     Raises :class:`NotASolution` when the residual exceeds ``tol`` and
     :class:`Inconclusive` when no branch matches, which cannot happen for
-    true solutions.
+    true solutions; with ``find_witness``, an exact entry beyond the float
+    range raises ``ValueError``.
     """
     if A.kind == EXACT:
         R, N, D = _residual_numerators(A)

@@ -9,7 +9,7 @@ processing downstream.
 
 from __future__ import annotations
 
-from .linalg import GaussianRational, Mat2, Mat3, Vec3
+from .linalg import GaussianRational, Mat2, Mat3
 from .sl2 import IdentityViolation, StructureConstants
 
 __all__ = [
@@ -64,10 +64,15 @@ def matrix_to_json(M):
     return [[scalar_to_json(x) for x in row] for row in M.rows]
 
 
+def _nested(data, n: int, depth: int) -> bool:
+    """Whether ``data`` is lists of length ``n``, ``depth`` levels deep."""
+    return not depth or isinstance(data, list) and len(data) == n and all(
+        _nested(x, n, depth - 1) for x in data
+    )
+
+
 def _entries_from_json(data, n: int):
-    if not isinstance(data, list) or len(data) != n or any(
-        not isinstance(r, list) or len(r) != n for r in data
-    ):
+    if not _nested(data, n, 2):
         raise ValueError(f"matrix must be a {n}x{n} nested array")
     return [[scalar_from_json(x) for x in row] for row in data]
 
@@ -81,26 +86,16 @@ def mat2_from_json(data) -> Mat2:
 
 
 def structure_constants_to_json(c: StructureConstants):
-    return {
-        "c": [
-            [[scalar_to_json(x) for x in c.product(i, j).coords] for j in range(3)]
-            for i in range(3)
-        ]
-    }
+    e = [scalar_to_json(x) for x in c.entries]
+    return {"c": [[e[n : n + 3] for n in range(i, i + 9, 3)] for i in range(0, 27, 9)]}
 
 
 def structure_constants_from_json(data) -> StructureConstants:
     if not isinstance(data, dict) or "c" not in data:
         raise ValueError('structure constants need a {"c": ...} object')
-    table = data["c"]
-    if not isinstance(table, list) or len(table) != 3:
+    if not _nested(data["c"], 3, 3):
         raise ValueError("structure constants need a 3x3x3 nested array")
-    rows = []
-    for row in table:
-        if not isinstance(row, list) or len(row) != 3:
-            raise ValueError("structure constants need a 3x3x3 nested array")
-        rows.append([Vec3([scalar_from_json(x) for x in v]) for v in row])
-    return StructureConstants(rows)
+    return StructureConstants([[[scalar_from_json(x) for x in v] for v in row] for row in data["c"]])
 
 
 def violations_to_json(violations: list[IdentityViolation]):

@@ -6,19 +6,21 @@ vectors is the ordinary cross product:
     [e2, e3] = e1,   [e3, e1] = e2,   [e1, e2] = e3.
 
 A bilinear product on the 3-dimensional space is represented by its
-structure constants.  ``check_postlie``, ``check_jacobi`` and
-``check_rota_baxter`` evaluate the defining identities on all basis tuples,
-which suffices by bilinearity, and report every violation they find.
+structure constants, 27 flat entries that ``circ_from_matrix``, its
+inverse and ``derived_bracket`` read as index maps.  ``check_postlie``,
+``check_jacobi`` and ``check_rota_baxter`` evaluate the identities on all
+basis tuples, which suffices by bilinearity, and report every violation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    EXACT, FLOATING, GaussianRational, Mat2, Mat3, Vec3, ad, contract, numerator_vectors, times,
+    EXACT, Entries, GaussianRational, Mat2, Mat3, Vec3, ad, contract, numerator_vectors, times,
 )
 
 __all__ = [
@@ -61,50 +63,39 @@ def bracket(x: Vec3, y: Vec3) -> Vec3:
     return x.cross(y)
 
 
-class StructureConstants:
+class StructureConstants(Entries):
     """A bilinear product stored as the 27 coefficients of e_i o e_j.
 
-    ``table[i][j]`` is the coordinate vector of ``e_i o e_j``.
+    ``entries[9*i + 3*j + k]`` is coordinate k of ``e_i o e_j``, and
+    ``table[i][j]`` and ``product(i, j)`` are read-only views of its vector.
+    The constructor takes a 3x3 table of vectors, all of one kind.
     """
 
-    __slots__ = ("table", "kind")
+    __slots__ = ()
+    _where = "structure constants"
+    _size = 27
 
     def __init__(self, table):
         rows = [tuple(row) for row in table]
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("structure constants need a 3x3 table of vectors")
-        vecs = []
-        for row in rows:
-            vecs.append(tuple(v if isinstance(v, Vec3) else Vec3(v) for v in row))
-        kinds = {v.kind for row in vecs for v in row}
-        if len(kinds) != 1:
+        vecs = [v if isinstance(v, Vec3) else Vec3(v) for row in rows for v in row]
+        if len({v.kind for v in vecs}) != 1:
             raise ValueError("mixed exact and floating structure constants")
-        self.table = tuple(vecs)
-        self.kind = kinds.pop()
+        self.entries = tuple(x for v in vecs for x in v.entries)
+        self.kind = vecs[0].kind
 
-    @classmethod
-    def zero(cls, exact=True):
-        z = Vec3.zero(exact=exact)
-        return cls([[z, z, z] for _ in range(3)])
+    @property
+    def table(self) -> tuple:
+        return tuple(tuple(self.product(i, j) for j in range(3)) for i in range(3))
 
     def product(self, i: int, j: int) -> Vec3:
-        """e_i o e_j for 0-based i, j."""
-        return self.table[i][j]
-
-    def to_floating(self) -> "StructureConstants":
-        if self.kind == FLOATING:
-            return self
-        return StructureConstants(
-            [[v.to_floating() for v in row] for row in self.table]
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, StructureConstants):
-            return NotImplemented
-        return self.kind == other.kind and self.table == other.table
+        """e_i o e_j for 0-based i, j; indices work as on a 3x3 tuple."""
+        n = 9 * range(3)[i] + 3 * range(3)[j]
+        return Vec3(self.entries[n : n + 3])
 
     def __repr__(self):
-        return f"StructureConstants({[[list(v.coords) for v in row] for row in self.table]!r})"
+        return f"StructureConstants({[[list(v) for v in row] for row in self.table]!r})"
 
 
 def bracket_via_2x2(x: Vec3, y: Vec3) -> Vec3:
@@ -137,14 +128,24 @@ def basis_2x2(exact: bool = True) -> tuple[Mat2, Mat2, Mat2]:
 
 def coords_from_2x2(X: Mat2) -> Vec3:
     """Coordinates x_j = -2 tr(X e_j) of a traceless 2x2 matrix."""
-    exact = X.kind == EXACT
-    minus_two = GaussianRational(-2) if exact else -2.0
-    return Vec3([minus_two * (X @ e).trace() for e in basis_2x2(exact)])
+    return Vec3([-2 * (X @ e).trace() for e in basis_2x2(X.kind == EXACT)])
 
 
 def _embed_2x2(v: Vec3) -> Mat2:
     e1, e2, e3 = basis_2x2(v.kind == EXACT)
     return e1.scale(v[0]) + e2.scale(v[1]) + e3.scale(v[2])
+
+
+#: slot 9*i + 3*j + k of ``circ_from_matrix(A)`` holds this index of [0, the
+#: entries of A, their negations]: row i of the table is -ad(f(e_i))
+_CIRC_SLOTS = tuple(
+    n for i in range(0, 9, 3) for row in ad(range(10 + i, 13 + i), range(1 + i, 4 + i), 0)
+    for n in row
+)
+#: the slots of the table that hold the entries of A, row-major
+_MATRIX_SLOTS = tuple(_CIRC_SLOTS.index(1 + m) for m in range(9))
+#: slot ``_MIRROR[9*i + 3*j + k]`` holds coordinate k of e_j o e_i
+_MIRROR = tuple(9 * j + 3 * i + k for i in range(3) for j in range(3) for k in range(3))
 
 
 def circ_from_matrix(A: Mat3) -> StructureConstants:
@@ -154,8 +155,8 @@ def circ_from_matrix(A: Mat3) -> StructureConstants:
     each entry is an entry of A, its negation or zero.
     """
     zero = GaussianRational(0) if A.kind == EXACT else 0j
-    rows = A.entries[0:3], A.entries[3:6], A.entries[6:9]
-    return StructureConstants([ad([-x for x in f], f, zero) for f in rows])
+    placed = (zero, *A.entries, *[-x for x in A.entries])
+    return StructureConstants._of([placed[n] for n in _CIRC_SLOTS])
 
 
 #: structure constants of the fixed Lie bracket: x o y = [x, y] for f = id
@@ -165,27 +166,22 @@ LIE_BRACKET = circ_from_matrix(Mat3.identity())
 def matrix_from_circ(c: StructureConstants, tol: float = 1e-9) -> Mat3:
     """Recover the unique A with ``circ_from_matrix(A) == c``.
 
-    Row i is read off the entries of row i of the table where
-    ``circ_from_matrix`` places f(e_i); the rest of the table is a
-    consistency check.  Raises :class:`NotAdjointForm` when it fails
-    (exactly in exact mode, beyond ``tol`` in floating mode).
+    A is read off the slots where ``circ_from_matrix`` places it; the rest
+    of the table is a consistency check.  Raises :class:`NotAdjointForm`
+    when it fails (exactly in exact mode, by a modulus beyond ``tol`` in
+    floating mode, where a difference past the float range is inf).
     """
-    # [f, e1] = (0, f3, -f2), [f, e2] = (-f3, 0, f1), [f, e3] = (f2, -f1, 0)
-    A = Mat3([(c2[2], c3[0], c1[1]) for c1, c2, c3 in c.table])
-    back = circ_from_matrix(A)
+    e = c.entries
+    a = [e[n] for n in _MATRIX_SLOTS]
+    A = Mat3([a[0:3], a[3:6], a[6:9]])
+    back = circ_from_matrix(A).entries
     if c.kind == EXACT:
-        if back != c:
+        if back != e:
             raise NotAdjointForm("product is not an adjoint-form product")
     else:
-        defect = max(
-            (back.product(i, j) - c.product(i, j)).max_abs()
-            for i in range(3)
-            for j in range(3)
-        )
+        defect = max(math.hypot(d.real, d.imag) for d in (x - y for x, y in zip(back, e)))
         if defect > tol:
-            raise NotAdjointForm(
-                f"product is not an adjoint-form product (defect {defect:.3e})"
-            )
+            raise NotAdjointForm(f"product is not an adjoint-form product (defect {defect:.3e})")
     return A
 
 
@@ -249,9 +245,8 @@ def _violations(defects, D, exact, tol):
 
 def _table_form(c: StructureConstants):
     """The table as ``C[i][j]``, the vector of e_i o e_j, with its D."""
-    exact = c.kind == EXACT
-    vecs, D = numerator_vectors([x for row in c.table for v in row for x in v], exact)
-    return (vecs[0:3], vecs[3:6], vecs[6:9]), D, exact
+    vecs, D = numerator_vectors(c.entries)
+    return (vecs[0:3], vecs[3:6], vecs[6:9]), D, c.kind == EXACT
 
 
 #: ``_BRACKET[i][j]`` holds the coordinates of [e_i, e_j] as int pairs
@@ -325,12 +320,8 @@ def check_postlie(c: StructureConstants, tol: float = 1e-9) -> list[IdentityViol
 def derived_bracket(c: StructureConstants) -> StructureConstants:
     """Structure constants of {x,y} = x o y - y o x + [x,y]."""
     br = LIE_BRACKET if c.kind == EXACT else LIE_BRACKET.to_floating()
-    return StructureConstants(
-        [
-            [c.product(i, j) - c.product(j, i) + br.product(i, j) for j in range(3)]
-            for i in range(3)
-        ]
-    )
+    e = c.entries
+    return StructureConstants._of([x - e[m] + b for x, m, b in zip(e, _MIRROR, br.entries)])
 
 
 def _jacobi_defects(B):
@@ -381,7 +372,7 @@ def check_rota_baxter(A: Mat3, tol: float = 1e-9) -> list[IdentityViolation]:
     """Check on all basis pairs that f given by the rows of A satisfies
     [f(x),f(y)] = f([f(x),y] + [x,f(y)] + [x,y])."""
     exact = A.kind == EXACT
-    F, D = numerator_vectors(A.entries, exact)
+    F, D = numerator_vectors(A.entries)
     return _violations(_rota_baxter_defects(F, D, exact), D, exact, tol)
 
 

@@ -56,8 +56,8 @@ class Singular(ZeroDivisionError):
 
 def membership_defects(T: Mat3) -> tuple[float, float]:
     """``(||T' T - I||_F, |det T - 1|)``, computed in T's own arithmetic, so
-    both read 0.0 for an exact T in SO(3,C); a floating defect past the
-    float range is inf or nan."""
+    both read 0.0 for an exact T in SO(3,C); a defect past the float range
+    is inf (or nan, for a floating T)."""
     X = T.entries
     return frobenius_distance(gram(X, X), _IDENTITY), frobenius_distance([cofactors(X)[1]], [1])
 
@@ -77,9 +77,8 @@ def cayley(K: Mat3) -> Mat3:
     return (I - K).inverse() @ (I + K)
 
 
-def _antisymmetric(a, b, c, exact: bool) -> Mat3:
-    z = 0 if exact else 0j
-    return Mat3([[z, a, b], [-a, z, c], [-b, -c, z]])
+def _antisymmetric(a, b, c) -> Mat3:
+    return Mat3([[0, a, b], [-a, 0, c], [-b, -c, 0]])
 
 
 def random_so3(seed: int) -> Mat3:
@@ -94,7 +93,7 @@ def random_so3(seed: int) -> Mat3:
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RESAMPLE):
         a, b, c = (complex(x, y) for x, y in rng.normal(size=(3, 2)))
-        K = _antisymmetric(a, b, c, exact=False)
+        K = _antisymmetric(a, b, c)
         I = Mat3.identity(exact=False)
         if abs(complex((I - K).det())) < _DET_GUARD:
             continue
@@ -119,7 +118,7 @@ def random_so3_exact(seed: int) -> Mat3:
     rng = random.Random(seed)
     for _ in range(_MAX_RESAMPLE):
         a, b, c = (_random_gaussian_rational(rng) for _ in range(3))
-        K = _antisymmetric(a, b, c, exact=True)
+        K = _antisymmetric(a, b, c)
         if not (Mat3.identity() - K).det():
             continue
         return cayley(K)

@@ -193,7 +193,8 @@ def classify_symmetric(S: Mat3, tol: float = DEFAULT_SYM_TOL) -> SymCanonicalFor
     type up in the table of forms.  The blocks at nonzero eigenvalues are
     sorted by size, then by the (real, imag) of their eigenvalue, which
     gives the parameter order; signed coordinate permutations lie in
-    SO(3,C), so the orderings of equal-size blocks are congruent.
+    SO(3,C), so the orderings of equal-size blocks are congruent.  An
+    exact entry beyond the float range raises ``ValueError``.
     """
     _require_symmetric(S, tol)
     sig = jordan_signature(S.to_floating(), tol)

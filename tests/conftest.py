@@ -7,7 +7,7 @@ import pytest
 from postlie_sl2 import mateq, so3c
 from postlie_sl2.cli import VERIFY_K_SAMPLES as K_SAMPLES
 from postlie_sl2.linalg import EXACT, GaussianRational, IM, Mat3, Vec3
-from postlie_sl2.sl2 import LIE_BRACKET, IdentityViolation, bracket
+from postlie_sl2.sl2 import LIE_BRACKET, IdentityViolation, StructureConstants, bracket
 from postlie_sl2.symcanon import FormKind, form
 
 
@@ -113,6 +113,14 @@ def _reference_record(violations, identity, indices, residual: Vec3, tol):
 
 def _reference_basis(kind):
     return [Vec3.basis(i, exact=kind == EXACT) for i in range(3)]
+
+
+def reference_derived_bracket(c):
+    """{x,y} = x o y - y o x + [x,y] table by table, on Vec3 products."""
+    br = LIE_BRACKET if c.kind == EXACT else LIE_BRACKET.to_floating()
+    return StructureConstants(
+        [[c.product(i, j) - c.product(j, i) + br.product(i, j) for j in range(3)] for i in range(3)]
+    )
 
 
 def reference_check_postlie(c, tol=1e-9):

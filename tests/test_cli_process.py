@@ -193,6 +193,30 @@ def test_non_finite_result_is_one_error_document(tmp_path):
     assert doc["payload"]["message"]
 
 
+def test_exact_entry_past_the_float_range_is_one_error_document(tmp_path):
+    # congruence is decided on floating copies, which 10**400 has none of
+    zero = {"re": "0", "im": "0"}
+    one = {"re": "1", "im": "0"}
+    huge = [[{"re": str(10**400), "im": "0"}, zero, zero], [zero] * 3, [zero] * 3]
+    identity = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    a, b = write_json(tmp_path, "a.json", huge), write_json(tmp_path, "b.json", identity)
+    proc = python("-m", "postlie_sl2", "orbit-test", a, b, "--seed", "1")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert (doc["command"], doc["status"]) == ("orbit-test", "error")
+    assert "exceeds the floating range" in doc["payload"]["message"]
+
+
+def test_table_of_numbers_is_one_error_document(tmp_path):
+    path = write_json(tmp_path, "c.json", {"c": [[1, 2, 3]] * 3})
+    code, doc, _ = run_process("postlie-check", path)
+    assert (code, doc["command"], doc["status"]) == (2, "postlie-check", "error")
+    assert "3x3x3" in doc["payload"]["message"]
+
+
 def test_exponent_notation_is_refused_at_once(tmp_path):
     # Fraction would expand this 30-byte entry to thirty million digits,
     # more than a minute of work

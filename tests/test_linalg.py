@@ -398,6 +398,57 @@ class TestNineEntryKernel:
         assert A.frobenius_norm() == math.hypot(1e308, 1e308)
 
 
+#: an exact matrix whose entry 10**400 lies beyond the float range
+HUGE = Mat3([[10**400, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+class TestExactBeyondTheFloatRange:
+    """Exact values past the float range answer through the exact Frobenius
+    distance, and refuse a floating copy with ValueError."""
+
+    def test_max_abs_and_frobenius_norm_are_inf(self):
+        assert HUGE.max_abs() == math.inf
+        assert HUGE.frobenius_norm() == math.inf
+        assert Vec3([0, gr(-(10**400), 10**400), 0]).max_abs() == math.inf
+
+    def test_close_to_compares_exactly(self):
+        assert HUGE.close_to(HUGE, 1e-9)
+        assert not HUGE.close_to(Mat3.zero(), 1e300)
+        assert Mat3.diag(gr(Fraction(1, 10**400)), 0, 0).close_to(Mat3.zero(), 1e-300)
+
+    def test_close_to_a_floating_matrix_refuses_the_copy(self):
+        with pytest.raises(ValueError, match="Mat3 entry 0 exceeds the floating range"):
+            HUGE.close_to(Mat3.zero(exact=False), 1e-9)
+
+    def test_to_floating_names_the_entry(self):
+        with pytest.raises(ValueError, match="Mat3 entry 0 exceeds the floating range"):
+            HUGE.to_floating()
+        with pytest.raises(ValueError, match="Vec3 entry 2 exceeds the floating range"):
+            Vec3([1, gr(1, 3), gr(0, -(10**309))]).to_floating()
+
+    def test_frobenius_distance(self):
+        # the exact sum 10**400 is past the float range, though its root is not
+        assert linalg.frobenius_distance([gr(10**200), gr(0)], [0, 0]) == math.inf
+        assert linalg.frobenius_distance([gr(3 * 10**150), gr(0, 4 * 10**150)], [0, 0]) == 5e150
+        assert linalg.frobenius_distance(HUGE.entries, HUGE.entries) == 0.0
+
+
+class TestKindFromTheScalars:
+    def test_numerator_vectors_read_the_kind(self):
+        vecs, D = linalg.numerator_vectors([gr(1, 2), gr(Fraction(1, 3)), IM])
+        assert (vecs, D) == ((((3, 6), (1, 0), (0, 3)),), 3)
+        vecs, D = linalg.numerator_vectors([1 + 2j, -0.0 + 0j, 0.5j])
+        assert (vecs, D) == ((((1.0, 2.0), (-0.0, 0.0), (0.0, 0.5)),), 1.0)
+
+    def test_diag_zeros_take_the_kind_of_the_diagonal(self):
+        floating = Mat3.diag(1.0, 2j, -0.5)
+        assert floating.kind == linalg.FLOATING
+        assert all(type(x) is complex for x in floating.entries)
+        assert repr(floating.entries[1]) == "0j"
+        exact = Mat3.diag(gr(1, 2), 0, IM)
+        assert exact.kind == EXACT and exact.entries[1] == gr(0)
+
+
 class TestFlatEntries:
     def test_entries_are_the_rows_row_major(self):
         for M in (Mat3([[1, 2, 3], [4, 5, 6], [7, 8, IM]]), Mat2([[1j, 2.0], [3.0, 4.0]])):

@@ -313,6 +313,15 @@ class TestClassifierBranchOracle:
 
 
 class TestClassify:
+    def test_witness_for_a_parameter_past_the_float_range_is_refused(self):
+        # an exact KFamily member classifies exactly; its witness search
+        # needs a floating copy, which k = 10**400 does not have
+        tag = FamilyTag.k_family(10**400)
+        A = representative(tag)
+        assert classify(A).tag == tag
+        with pytest.raises(ValueError, match="exceeds the floating range"):
+            classify(A, find_witness=True)
+
     @pytest.mark.parametrize("name,tag", oracle_cases())
     def test_representatives_round_trip(self, name, tag):
         report = classify(representative(tag))
@@ -535,6 +544,13 @@ def k_family_tags(rng, lo: float, hi: float, n: int) -> list:
 
 
 class TestCongruenceTest:
+    def test_exact_entry_past_the_float_range_is_refused(self):
+        M = Mat3([[10**400, 0, 0], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="Mat3 entry 0 exceeds the floating range"):
+            congruence_test(M, Mat3.identity())
+        with pytest.raises(ValueError, match="Mat3 entry 0 exceeds the floating range"):
+            congruence_test(Mat3.identity(), M)
+
     def test_reflexive(self):
         A = representative(FamilyTag.non_sym_rank1())
         v = congruence_test(A, A, seed=1)

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postlie_sl2 import mateq, sl2, so3c
+from postlie_sl2 import mateq, serialize, sl2, so3c
 from postlie_sl2.linalg import GaussianRational, Mat3, Vec3
 from postlie_sl2.sl2 import (
     LIE_BRACKET,
@@ -28,6 +29,7 @@ from conftest import (
     reference_check_jacobi,
     reference_check_postlie,
     reference_check_rota_baxter,
+    reference_derived_bracket,
     sampled_tags,
 )
 
@@ -136,6 +138,136 @@ class TestCircFromMatrix:
                     assert c.product(i, j) == bracket(A.row(i), Ef[j])
 
 
+def _signed_zero_table(rng):
+    """A floating table whose real and imaginary parts are signed zeros
+    about 30% of the time."""
+    re, im = rng.standard_normal((2, 27))
+    for part in (re, im):
+        zeros = rng.random(27) < 0.3
+        part[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+    e = (re + 1j * im).tolist()
+    return StructureConstants([[e[n : n + 3] for n in range(i, i + 9, 3)] for i in range(0, 27, 9)])
+
+
+def _nested_repr(c):
+    """The repr of a table as written from its nested Vec3 table."""
+    return f"StructureConstants({[[list(v.coords) for v in row] for row in c.table]!r})"
+
+
+class TestFlatStructureConstants:
+    def test_entry_order(self):
+        nested = [[[gr(100 * i + 10 * j + k) for k in range(3)] for j in range(3)] for i in range(3)]
+        c = StructureConstants(nested)
+        for i, j, k in itertools.product(range(3), repeat=3):
+            assert c.entries[9 * i + 3 * j + k] == nested[i][j][k]
+            assert c.table[i][j][k] == c.product(i, j)[k] == nested[i][j][k]
+
+    @given(exact_tables)
+    @settings(max_examples=30)
+    def test_views_and_repr_of_exact_tables(self, c):
+        assert StructureConstants(c.table) == c
+        assert all(isinstance(v, Vec3) for row in c.table for v in row)
+        assert repr(c) == _nested_repr(c)
+        assert c.to_floating() == StructureConstants(
+            [[v.to_floating() for v in row] for row in c.table]
+        )
+
+    def test_views_and_repr_of_floating_tables(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            c = _signed_zero_table(rng)
+            assert StructureConstants(c.table) == c
+            assert repr(StructureConstants(c.table)) == repr(c) == _nested_repr(c)
+            assert c.to_floating() is c
+
+    def test_repr_unchanged(self):
+        assert repr(StructureConstants.zero(exact=False)) == (
+            "StructureConstants(" + repr([[[0j, 0j, 0j]] * 3] * 3) + ")"
+        )
+        assert repr(LIE_BRACKET).startswith(
+            "StructureConstants([[[GaussianRational('0', '0'), GaussianRational('0', '0'), "
+            "GaussianRational('0', '0')], [GaussianRational('0', '0'), "
+            "GaussianRational('0', '0'), GaussianRational('1', '0')]"
+        )
+
+    def test_product_indexes_like_the_nested_table(self):
+        c = circ_from_matrix(Mat3([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
+        assert c.product(-1, -2) == c.table[2][1]
+        with pytest.raises(IndexError):
+            c.product(3, 0)
+        with pytest.raises(IndexError):
+            c.product(0, -4)
+
+    def test_never_equal_to_vectors_or_matrices(self):
+        c = StructureConstants.zero()
+        for other in (Mat3.zero(), Vec3.zero(), c.entries):
+            assert c != other and other != c and not (c == other)
+        assert StructureConstants.zero() == c and StructureConstants.zero(exact=False) != c
+        with pytest.raises(TypeError):
+            hash(c)
+
+    def test_constructor_messages(self):
+        with pytest.raises(ValueError, match="structure constants need a 3x3 table of vectors"):
+            StructureConstants([[Vec3.zero()] * 3] * 2)
+        with pytest.raises(ValueError, match="structure constants need a 3x3 table of vectors"):
+            StructureConstants([[Vec3.zero()] * 2] * 3)
+        mixed = [[Vec3.zero(exact=False)] * 3 for _ in range(3)]
+        mixed[2][1] = Vec3.zero()
+        with pytest.raises(ValueError, match="mixed exact and floating structure constants"):
+            StructureConstants(mixed)
+        # an int vector is exact, as before, and so mixes with floating ones
+        mixed[2][1] = [0, 0, 0]
+        with pytest.raises(ValueError, match="mixed exact and floating structure constants"):
+            StructureConstants(mixed)
+        with pytest.raises(ValueError, match="Vec3 needs exactly 3 coordinates"):
+            StructureConstants([[[0, 0]] * 3] * 3)
+
+    def test_arithmetic_results_are_still_checked(self):
+        table = [[Vec3.zero(exact=False) for _ in range(3)] for _ in range(3)]
+        table[1][2] = Vec3([0j, 1e308 + 0j, 0j])
+        c = StructureConstants(table)
+        with pytest.raises(ValueError, match="non-finite value in structure constants"):
+            c + c
+        with pytest.raises(ValueError, match="non-finite value in structure constants"):
+            c.scale(10.0)
+        assert (c - c).is_zero() and (c - c).kind == c.kind
+        assert -LIE_BRACKET == circ_from_matrix(-Mat3.identity())
+
+
+class TestStructureConstantsJson:
+    @staticmethod
+    def reference(c):
+        return {
+            "c": [
+                [[serialize.scalar_to_json(x) for x in c.product(i, j).coords] for j in range(3)]
+                for i in range(3)
+            ]
+        }
+
+    def _check(self, c):
+        doc = json.dumps(serialize.structure_constants_to_json(c))
+        assert doc == json.dumps(self.reference(c))
+        back = serialize.structure_constants_from_json(json.loads(doc))
+        assert back == c and repr(back) == repr(c)
+
+    @given(exact_tables)
+    @settings(max_examples=30)
+    def test_exact_tables(self, c):
+        self._check(c)
+
+    def test_floating_tables_with_signed_zeros(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            self._check(_signed_zero_table(rng))
+        for tag in sampled_tags():
+            self._check(circ_from_matrix(mateq.representative(tag)).to_floating())
+
+    def test_a_table_of_numbers_is_refused(self):
+        for table in ([[1, 2, 3]] * 3, [[[1, 2, 3]] * 3] * 2 + [[[1, 2], [1, 2, 3], [1, 2, 3]]]):
+            with pytest.raises(ValueError, match="3x3x3 nested array"):
+                serialize.structure_constants_from_json({"c": table})
+
+
 class TestMatrixFromCirc:
     def test_zero(self):
         assert matrix_from_circ(StructureConstants.zero()) == Mat3.zero()
@@ -169,6 +301,37 @@ class TestMatrixFromCirc:
         table[0][1] = Vec3([0j, 0j, 1.5e308 + 1.5e308j])
         with pytest.raises(NotAdjointForm):
             matrix_from_circ(StructureConstants(table))
+
+    def test_overflowing_difference_is_not_adjoint_form(self):
+        # A reads f(e_1) = (X, 0, 0), which places -X where the table holds
+        # X; the difference -2X overflows, and the defect is inf
+        X = 1.5e308 + 1.5e308j
+        table = [[Vec3.zero(exact=False) for _ in range(3)] for _ in range(3)]
+        table[0][1] = Vec3([0j, 0j, X])
+        table[0][2] = Vec3([0j, X, 0j])
+        with pytest.raises(NotAdjointForm, match="defect inf"):
+            matrix_from_circ(StructureConstants(table))
+
+    def test_every_slot_is_checked(self):
+        A = Mat3([[gr(m + 1, m) for m in range(n, n + 3)] for n in (0, 3, 6)])
+        for c, nudge in ((circ_from_matrix(A), gr(1, 7)), (circ_from_matrix(A).to_floating(), 1e-6)):
+            for n in range(27):
+                e = list(c.entries)
+                e[n] = e[n] + nudge
+                table = [[e[m : m + 3] for m in range(i, i + 9, 3)] for i in range(0, 27, 9)]
+                with pytest.raises(NotAdjointForm):
+                    matrix_from_circ(StructureConstants(table))
+
+    def test_slots_of_a(self):
+        A = Mat3([[gr(m + 1, m) for m in range(n, n + 3)] for n in (0, 3, 6)])
+        c = circ_from_matrix(A)
+        # [f, e1] = (0, f3, -f2), [f, e2] = (-f3, 0, f1), [f, e3] = (f2, -f1, 0)
+        for i in range(3):
+            f = A.entries[3 * i : 3 * i + 3]
+            z = gr(0)
+            want = [z, f[2], -f[1], -f[2], z, f[0], f[1], -f[0], z]
+            assert list(c.entries[9 * i : 9 * i + 9]) == want
+        assert matrix_from_circ(c) == A
 
 
 class TestCheckPostlie:
@@ -209,6 +372,20 @@ class TestDerivedBracket:
         for i in range(3):
             for j in range(3):
                 assert (d.product(i, j) + d.product(j, i)).is_zero()
+
+    @given(exact_tables)
+    @settings(max_examples=40)
+    def test_exact_tables_equal_the_vec3_formula(self, c):
+        got, want = derived_bracket(c), reference_derived_bracket(c)
+        assert got == want and repr(got) == repr(want)
+
+    def test_floating_tables_are_bit_equal_to_the_vec3_formula(self):
+        rng = np.random.default_rng(13)
+        tables = [_signed_zero_table(rng) for _ in range(100)]
+        tables += [circ_from_matrix(A).to_floating() for A in (Mat3.zero(), -Mat3.identity())]
+        for c in tables:
+            got, want = derived_bracket(c), reference_derived_bracket(c)
+            assert repr(got) == repr(want)
 
 
 class TestCheckJacobi:

@@ -232,5 +232,10 @@ class TestOverflowAnswers:
         assert is_special_orthogonal(T) is False
         assert not math.isfinite(so3c.membership_defects(T)[0])
 
+    def test_membership_defects_of_an_exact_matrix_past_the_float_range(self):
+        M = Mat3([[10**400, 0, 0], [0, 0, 0], [0, 0, 0]])
+        assert so3c.membership_defects(M) == (math.inf, 1.0)
+        assert is_special_orthogonal(M) is False
+
     def test_automorphism_of_an_overflowing_matrix(self):
         assert automorphism_check(BIG) is False

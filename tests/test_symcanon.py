@@ -131,6 +131,11 @@ class TestUniqueness:
 
 
 class TestClassifySymmetric:
+    def test_exact_entry_past_the_float_range_is_refused(self):
+        M = Mat3([[10**400, 0, 0], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="Mat3 entry 0 exceeds the floating range"):
+            classify_symmetric(M)
+
     def test_diag_123(self):
         f = classify_symmetric(Mat3.diag(1.0, 2.0, 3.0))
         assert f.close_to(form(FormKind.RANK3_DIAG, 1, 2, 3), 1e-9)
