@@ -9,7 +9,6 @@ from .linalg import (
     Mat2,
     Mat3,
     Vec3,
-    eigenvalues,
     jordan_signature,
 )
 from .mateq import (

@@ -45,7 +45,7 @@ def _verify_tags():
     return tags
 
 
-def verify_canon(corrupt: dict | None = None):
+def verify_canon():
     """Exact verification of the canonical solution list.
 
     Checks, per family representative: exactly zero residual, empty
@@ -53,18 +53,14 @@ def verify_canon(corrupt: dict | None = None):
     from exact ``classify`` tags: a pair is distinguished when both
     matrices classify and their tags differ.  That is sound because the
     tag is read off congruence invariants only (rank(A), rank(A'A),
-    rank(sym(A) + I/2) and tr(A)).  ``corrupt`` is a test-only hook
-    mapping a family-kind name to a replacement matrix.
+    rank(sym(A) + I/2) and tr(A)).
     """
-    corrupt = corrupt or {}
     tags = _verify_tags()
     entries = []
     ok = True
     classified = []
     for tag in tags:
         A = mateq.representative(tag)
-        if tag.kind.value in corrupt:
-            A = corrupt[tag.kind.value]
         res = mateq.residual(A)
         exactly_zero = res.is_zero()
         postlie = check_postlie(circ_from_matrix(A))

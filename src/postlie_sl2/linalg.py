@@ -34,8 +34,8 @@ Floating ranks have one rule, :func:`rank_decisions`: singular values
 above ``tol * max(sigma_max, floor)`` count, and on descending rows the
 value nearest the threshold is one of its two neighbours.  ``Mat3.rank``,
 the classifier, the Jordan signatures and the congruence nullspaces all
-read it.  Floating eigenvalues come from ``np.linalg.eigvals``; eigenvalues
-and Jordan signatures are floating only.
+read it.  Jordan signatures are floating only, and read their eigenvalues
+from ``np.linalg.eigvals``.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently without locks.
@@ -69,7 +69,6 @@ __all__ = [
     "cofactors",
     "gram",
     "frobenius_distance",
-    "eigenvalues",
     "jordan_signature",
 ]
 
@@ -329,10 +328,17 @@ class Entries:
         value.entries, value.kind = _coerce_scalars(entries, cls._where)
         return value
 
+    def _same_kind(self, other):
+        """Refuse an operand of the other kind, as the kind check does."""
+        if other.kind != self.kind:
+            raise ValueError(f"mixed exact and floating {self._where}")
+
     def __add__(self, other):
+        self._same_kind(other)
         return self._of([a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
+        self._same_kind(other)
         return self._of([a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self):
@@ -401,6 +407,7 @@ class Vec3(Entries):
 
     def cross(self, other):
         """Cross product of the coordinate triples."""
+        self._same_kind(other)
         x, y = self.entries, other.entries
         return self._of(
             [
@@ -412,6 +419,7 @@ class Vec3(Entries):
 
     def __matmul__(self, A: "Mat3") -> "Vec3":
         """Row vector times matrix."""
+        self._same_kind(A)
         a = A.entries
         x0, x1, x2 = self.entries
         return self._of([x0 * a[j] + x1 * a[3 + j] + x2 * a[6 + j] for j in range(3)])
@@ -449,6 +457,7 @@ class _SquareMatrix(Entries):
         return self.entries[i * self._n + j]
 
     def __matmul__(self, other):
+        self._same_kind(other)
         n = self._n
         a, b = self.entries, other.entries
         cells = [(i, j) for i in range(0, n * n, n) for j in range(n)]
@@ -476,8 +485,10 @@ class _SquareMatrix(Entries):
         return frobenius_distance(self.entries, (0,) * len(self.entries))
 
     def to_numpy(self) -> np.ndarray:
+        """The complex (n,n) array; exact entries past the float range raise
+        the ``ValueError`` of ``to_floating``."""
         n = self._n
-        return np.array([complex(x) for x in self.entries], dtype=complex).reshape(n, n)
+        return np.array(self.to_floating().entries, dtype=complex).reshape(n, n)
 
     @classmethod
     def from_numpy(cls, arr) -> "_SquareMatrix":
@@ -517,7 +528,7 @@ class Mat3(_SquareMatrix):
 
     Hosts the matrix operations the rest of the package is built on:
     transpose, adjugate, determinant, characteristic polynomial, rank and
-    the symmetric/antisymmetric split.  The determinant and the adjugate
+    the symmetric part.  The determinant and the adjugate
     are read off :func:`cofactors`.
     """
 
@@ -553,10 +564,6 @@ class Mat3(_SquareMatrix):
     def sym_part(self) -> "Mat3":
         half = GaussianRational(Fraction(1, 2)) if self.kind == EXACT else 0.5
         return (self + self.transpose()).scale(half)
-
-    def antisym_part(self) -> "Mat3":
-        half = GaussianRational(Fraction(1, 2)) if self.kind == EXACT else 0.5
-        return (self - self.transpose()).scale(half)
 
     def rank(self, tol: float | None = None, floor: float = 0.0) -> int:
         """Rank of the matrix.
@@ -731,18 +738,12 @@ def rank_numerators(rows) -> int:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues and Jordan signatures
-
-
-def eigenvalues(A: Mat3) -> tuple[complex, complex, complex]:
-    """Eigenvalues of a floating matrix with repetition, from
-    ``np.linalg.eigvals``, sorted by ``(real, imag)`` for determinism."""
-    if A.kind != FLOATING:
-        raise TypeError("eigenvalues needs a floating matrix; use to_floating()")
-    return _sorted_eigenvalues(A.to_numpy())
+# Jordan signatures
 
 
 def _sorted_eigenvalues(a: np.ndarray) -> tuple:
+    """Eigenvalues of a complex (3,3) array with repetition, from
+    ``np.linalg.eigvals``, sorted by ``(real, imag)`` for determinism."""
     vals = np.linalg.eigvals(a).tolist()
     return tuple(sorted(vals, key=lambda z: (z.real, z.imag)))
 
@@ -774,7 +775,7 @@ def jordan_signature(A: Mat3, tol: float = DEFAULT_JORDAN_TOL) -> JordanSignatur
 
     Block sizes for eigenvalue ``lam`` come from the ranks of
     ``(A - lam*I)**p`` for ``p = 1..multiplicity``.  Exact matrices raise
-    ``TypeError``, as in :func:`eigenvalues`.
+    ``TypeError``.
 
     The clustering threshold is the larger of ``tol`` and
     ``EIG_CLUSTER_FLOOR`` times the matrix scale, since eigenvalues of a

@@ -44,8 +44,6 @@ __all__ = [
     "is_solution",
     "representative",
     "congruate",
-    "rank2_identity_residual",
-    "rank1_identity_residual",
     "classify",
     "classify_stack",
     "congruence_test",
@@ -114,11 +112,20 @@ class FamilyTag:
         return cls(FamilyKind.NON_SYM_RANK1)
 
     def close_to(self, other: "FamilyTag", tol: float) -> bool:
+        """Same kind, and for KFamily |k - k'| <= tol: exact parameters are
+        compared by :func:`linalg.frobenius_distance`, others as ``complex``;
+        a distance past the float range is inf."""
         if self.kind != other.kind:
             return False
         if self.kind != FamilyKind.K_FAMILY:
             return True
-        return abs(complex(self.k) - complex(other.k)) <= tol
+        a, b = self.k, other.k
+        if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
+            return frobenius_distance((a,), (b,)) <= tol
+        try:
+            return abs(complex(a) - complex(b)) <= tol
+        except OverflowError:  # an exact parameter past the float range
+            return math.inf <= tol
 
 
 @dataclass(frozen=True)
@@ -227,19 +234,6 @@ def is_solution(A: Mat3, tol: float = DEFAULT_SOLUTION_TOL) -> bool:
         return not any(re or im for row in _residual_numerators(A)[0] for re, im in row)
     with np.errstate(over="ignore", invalid="ignore"):
         return bool(np.linalg.norm(residual_array(A.to_numpy())) < tol)
-
-
-def rank2_identity_residual(A: Mat3) -> Mat3:
-    """(tr A + 1) A'A - A'A A; vanishes on every rank-2 solution."""
-    ata = A.transpose() @ A
-    s = A.trace() + 1
-    return ata.scale(s) - ata @ A
-
-
-def rank1_identity_residual(A: Mat3) -> Mat3:
-    """(tr A + 1) A' - A'A; vanishes on every rank-1 solution."""
-    s = A.trace() + 1
-    return A.transpose().scale(s) - A.transpose() @ A
 
 
 # ---------------------------------------------------------------------------

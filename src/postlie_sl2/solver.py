@@ -244,35 +244,6 @@ def _newton(A0: np.ndarray, max_iter: int, tol: float):
         return A, norm, iterations, regularised, stalled
 
 
-def _solve_rows(
-    A0: np.ndarray,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_NEWTON_TOL,
-) -> list[SolveResult]:
-    """One :class:`SolveResult` per row of a complex (N,3,3) array of starts;
-    the converged rows are classified together by :func:`mateq.classify_stack`,
-    and a row that fails to classify gets no classification."""
-    A, norm, iterations, regularised, stalled = _newton(A0, max_iter, tol)
-    converged = norm < tol
-    classifications = [None] * len(A)
-    rows = np.flatnonzero(converged)
-    for row, report in zip(rows.tolist(), mateq.classify_stack(A[rows])):
-        if isinstance(report, mateq.ClassificationReport):
-            classifications[row] = report
-    return [
-        SolveResult(
-            A_final=Mat3.from_numpy(A[row]),
-            residual_norm=float(norm[row]),
-            iterations=int(iterations[row]),
-            converged=bool(converged[row]),
-            regularised_steps=int(regularised[row]),
-            stalled=bool(stalled[row]),
-            classification=classifications[row],
-        )
-        for row in range(len(A))
-    ]
-
-
 def newton_solve(
     A0: Mat3,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -284,8 +255,22 @@ def newton_solve(
     One shifted normal-equations step serves every Jacobian, singular ones
     included (they occur at legitimate roots, since the solution variety
     is positive-dimensional).  Non-convergence is reported, never raised.
+    A converged row is classified by :func:`mateq.classify_stack`, as
+    :func:`multistart` classifies a block; a row that fails to classify
+    gets no classification.
     """
-    return _solve_rows(A0.to_numpy()[None], max_iter, tol)[0]
+    A, norm, iterations, regularised, stalled = _newton(A0.to_numpy()[None], max_iter, tol)
+    converged = bool(norm[0] < tol)
+    report = mateq.classify_stack(A)[0] if converged else None
+    return SolveResult(
+        A_final=Mat3.from_numpy(A[0]),
+        residual_norm=float(norm[0]),
+        iterations=int(iterations[0]),
+        converged=converged,
+        regularised_steps=int(regularised[0]),
+        stalled=bool(stalled[0]),
+        classification=report if isinstance(report, mateq.ClassificationReport) else None,
+    )
 
 
 def _seeded_starts(seed: int, indices, radius: float) -> np.ndarray:

@@ -343,6 +343,19 @@ def reference_residual(a):
     return [[product[i][j] - adj[i][j] for j in range(3)] for i in range(3)]
 
 
+def rank2_identity(A: Mat3) -> Mat3:
+    """(tr A + 1) A'A - A'A A, which vanishes on every solution with
+    det A = 0 (proved in tests/test_theorem.py)."""
+    ata = A.transpose() @ A
+    return ata.scale(A.trace() + 1) - ata @ A
+
+
+def rank1_identity(A: Mat3) -> Mat3:
+    """(tr A + 1) A' - A'A, which vanishes on every solution of rank at
+    most 1 (proved in tests/test_theorem.py)."""
+    return A.transpose().scale(A.trace() + 1) - A.transpose() @ A
+
+
 def reference_rank(a):
     """Rank by Gaussian elimination over the field, for rows of any shape."""
     m = [list(r) for r in a]
@@ -378,6 +391,33 @@ def survey_500():
     return solver.multistart(500, seed=20260810, radius=2.0)
 
 
+def reference_solve_rows(starts) -> list:
+    """One ``solver.SolveResult`` per row of a complex (N,3,3) array of
+    starts, from one batched Newton call; the converged rows are classified
+    together, as ``multistart`` classifies a block, and a row that fails to
+    classify gets no classification."""
+    from postlie_sl2 import solver
+
+    tol = solver.DEFAULT_NEWTON_TOL
+    A, norm, iterations, regularised, stalled = solver._newton(starts, solver.DEFAULT_MAX_ITER, tol)
+    converged = norm < tol
+    reports = dict(zip(np.flatnonzero(converged).tolist(), mateq.classify_stack(A[converged])))
+    return [
+        solver.SolveResult(
+            A_final=Mat3.from_numpy(A[row]),
+            residual_norm=float(norm[row]),
+            iterations=int(iterations[row]),
+            converged=bool(converged[row]),
+            regularised_steps=int(regularised[row]),
+            stalled=bool(stalled[row]),
+            classification=(
+                reports[row] if isinstance(reports.get(row), mateq.ClassificationReport) else None
+            ),
+        )
+        for row in range(len(A))
+    ]
+
+
 @pytest.fixture(scope="session")
 def converged_points():
     """Converged runs on the starts of ``survey_500``, from one batched
@@ -385,7 +425,7 @@ def converged_points():
     from postlie_sl2 import solver
 
     starts = solver._seeded_starts(20260810, range(500), 2.0)
-    return [result for result in solver._solve_rows(starts) if result.converged]
+    return [result for result in reference_solve_rows(starts) if result.converged]
 
 
 def reference_jacobian(A: np.ndarray) -> np.ndarray:

@@ -1,15 +1,18 @@
-"""Every public name resolves: each module's ``__all__`` and each name the
-package re-exports.  The package source holds no dead code: every import
-is used or exported, and every private module-level name is referenced."""
+"""Every public name resolves: each module's ``__all__``, each name the
+package re-exports and each name the benchmark's tracer binds.  The
+package source holds no dead code: every import is used or exported, and
+every private module-level name is referenced."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import postlie_sl2
+import postlie_sl2.cli  # the tracer wraps cli.main
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(postlie_sl2.__path__) if info.name != "__main__"
@@ -32,6 +35,24 @@ def test_package_reexports_resolve():
         for alias in node.names:
             name = alias.asname or alias.name
             assert getattr(postlie_sl2, name) is getattr(module, alias.name), name
+
+
+def test_benchmark_tracer_binds_its_names():
+    # bench/tracing.py wraps public functions and Mat3 methods by name, so
+    # deleting one of them breaks every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = {name: getattr(postlie_sl2, name) for name in ("classify", "multistart", "newton_solve")}
+    tracer = tracing.Tracer(postlie_sl2)
+    try:
+        tracer.install()
+        for name, fn in originals.items():
+            assert getattr(postlie_sl2, name).__wrapped__ is fn
+    finally:
+        tracer.uninstall()
+    assert {name: getattr(postlie_sl2, name) for name in originals} == originals
 
 
 PACKAGE_DIR = Path(postlie_sl2.__file__).parent

@@ -36,22 +36,32 @@ class TestVerifyCanon:
             assert fam["postlie_violations"] == 0
             assert fam["rota_baxter_violations"] == 0
 
-    def test_corruption_hook_detected(self):
-        code, payload = verify_canon(corrupt={"TraceMinus2": Mat3.identity()})
+    @staticmethod
+    def corrupt(monkeypatch, kind, A):
+        """Make ``verify_canon`` read A as the representative of ``kind``."""
+        monkeypatch.setattr(
+            mateq, "representative", lambda tag: A if tag.kind.value == kind else representative(tag)
+        )
+
+    def test_corruption_hook_detected(self, monkeypatch):
+        self.corrupt(monkeypatch, "TraceMinus2", Mat3.identity())
+        code, payload = verify_canon()
         assert code == 1
         bad = [f for f in payload["families"] if f["tag"] == "TraceMinus2"]
         assert bad and "matrix-equation" in bad[0]["failed"]
 
-    def test_undistinguished_pairs_are_reported(self):
+    def test_undistinguished_pairs_are_reported(self, monkeypatch):
         # a corrupted entry that does not classify separates nothing
-        code, payload = verify_canon(corrupt={"Zero": Mat3.identity()})
+        self.corrupt(monkeypatch, "Zero", Mat3.identity())
+        code, payload = verify_canon()
         assert code == 1
         assert payload["pairwise_noncongruent"] is False
         pairs = payload["undistinguished_pairs"]
         assert len(pairs) == 8
         assert all("Zero" in entry["pair"] for entry in pairs)
         # a duplicated class is not distinguished from itself
-        code, payload = verify_canon(corrupt={"Zero": -Mat3.identity()})
+        self.corrupt(monkeypatch, "Zero", -Mat3.identity())
+        code, payload = verify_canon()
         assert code == 1
         assert payload["undistinguished_pairs"] == [
             {"pair": ["Zero", "MinusIdentity"], "separating_invariant": None}

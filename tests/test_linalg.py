@@ -16,7 +16,6 @@ from postlie_sl2.linalg import (
     Mat2,
     Mat3,
     Vec3,
-    eigenvalues,
     jordan_signature,
     rank_decisions,
     rank_numerators,
@@ -420,6 +419,11 @@ class TestExactBeyondTheFloatRange:
         with pytest.raises(ValueError, match="Mat3 entry 0 exceeds the floating range"):
             HUGE.close_to(Mat3.zero(exact=False), 1e-9)
 
+    def test_to_numpy_raises_the_to_floating_error(self):
+        with pytest.raises(ValueError, match="Mat3 entry 0 exceeds the floating range"):
+            HUGE.to_numpy()
+        assert np.array_equal(Mat3.diag(1, IM, gr(1, 3)).to_numpy(), np.diag([1, 1j, 1 + 3j]))
+
     def test_to_floating_names_the_entry(self):
         with pytest.raises(ValueError, match="Mat3 entry 0 exceeds the floating range"):
             HUGE.to_floating()
@@ -498,6 +502,20 @@ class TestFlatEntries:
             Mat3.diag(IM, 2.0, 3)
         with pytest.raises(ValueError, match="mixed exact and floating coordinates"):
             Vec3([IM, 2.0, 3])
+
+    def test_mixed_sum_is_refused_by_the_kind_check(self):
+        with pytest.raises(ValueError, match="mixed exact and floating entries"):
+            Mat3.identity() + Mat3.identity(exact=False)
+        with pytest.raises(ValueError, match="mixed exact and floating entries"):
+            Mat3.identity(exact=False) - Mat3.identity()
+
+    def test_mixed_product_is_refused_by_the_kind_check(self):
+        with pytest.raises(ValueError, match="mixed exact and floating entries"):
+            Mat3.identity() @ Mat3.identity(exact=False)
+        with pytest.raises(ValueError, match="mixed exact and floating coordinates"):
+            Vec3([1, 2, 3]) @ Mat3.identity(exact=False)
+        with pytest.raises(ValueError, match="mixed exact and floating coordinates"):
+            Vec3([1, 2, 3]).cross(Vec3([1.0, 2.0, 3.0]))
 
 
 # -- basic matrix operations -----------------------------------------------
@@ -734,10 +752,16 @@ class TestRankNumerators:
 # -- eigenvalues and Jordan signatures ---------------------------------------
 
 
+def eigenvalues(A):
+    """The eigenvalues of A with repetition, as ``jordan_signature`` reports
+    them: each cluster's mean, once per unit of its block sizes."""
+    return [lam for lam, blocks in jordan_signature(A).entries for _ in range(sum(blocks))]
+
+
 class TestEigenvalues:
     def test_minus_identity(self):
         vals = eigenvalues(-Mat3.identity(exact=False))
-        assert all(abs(v + 1) < 1e-12 for v in vals)
+        assert len(vals) == 3 and all(abs(v + 1) < 1e-12 for v in vals)
 
     def test_diag(self):
         vals = eigenvalues(Mat3.diag(1.0, 2.0, 3.0))
@@ -750,7 +774,7 @@ class TestEigenvalues:
         assert abs(vals[2]) < 1e-8
 
     def test_exact_input_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="use to_floating"):
             eigenvalues(Mat3.identity())
 
     @given(st.integers(0, 10_000))
@@ -812,7 +836,7 @@ class TestSymmetricSplit:
     def test_symmetric_fixed_point(self):
         S = Mat3([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
         assert S.sym_part() == S
-        assert S.antisym_part().is_zero()
+        assert (S - S.transpose()).is_zero()
 
     def test_family5_sym_part(self):
         # off-diagonal entries (1 - i/2) and (1 + i/2) average to 1
@@ -826,13 +850,14 @@ class TestSymmetricSplit:
         assert family5_rep().sym_part() == expected
 
     def test_antisym_identity(self):
-        assert Mat3.identity().antisym_part().is_zero()
+        assert (Mat3.identity() - Mat3.identity().transpose()).is_zero()
 
     @given(exact_mats)
     def test_reconstruction(self, A):
-        assert A.sym_part() + A.antisym_part() == A
+        K = (A - A.transpose()).scale(gr(Fraction(1, 2)))
+        assert A.sym_part() + K == A
         assert A.sym_part().transpose() == A.sym_part()
-        assert A.antisym_part().transpose() == -A.antisym_part()
+        assert K.transpose() == -K
 
     @given(
         st.lists(gaussians, min_size=3, max_size=3),
@@ -845,7 +870,7 @@ class TestSymmetricSplit:
         A = Mat3([[x * y for y in bv] for x in av])
         assert A.sym_part().rank() >= 1
         symmetric = A == A.transpose()
-        assert symmetric == A.antisym_part().is_zero()
+        assert symmetric == (A - A.transpose()).is_zero()
         parallel = all(
             av[i] * bv[j] == av[j] * bv[i] for i in range(3) for j in range(3)
         )

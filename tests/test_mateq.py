@@ -16,8 +16,6 @@ from postlie_sl2.mateq import (
     congruate,
     congruence_test,
     is_solution,
-    rank1_identity_residual,
-    rank2_identity_residual,
     representative,
     residual,
 )
@@ -34,6 +32,8 @@ from conftest import (
     gr,
     half,
     ihalf,
+    rank1_identity,
+    rank2_identity,
     reference_classify_floating,
     reference_polar_iterates,
     reference_residual,
@@ -211,33 +211,33 @@ class TestCongruate:
 
 class TestReductionIdentities:
     def test_rank2_on_trace_minus_2(self):
-        assert rank2_identity_residual(representative(FamilyTag.trace_minus_2())).is_zero()
+        assert rank2_identity(representative(FamilyTag.trace_minus_2())).is_zero()
 
     def test_rank2_on_kfamily(self):
-        assert rank2_identity_residual(representative(FamilyTag.k_family(3))).is_zero()
+        assert rank2_identity(representative(FamilyTag.k_family(3))).is_zero()
 
     def test_rank2_on_identity(self):
         # (tr I + 1) I'I - I'I I = 4I - I = 3I
-        assert rank2_identity_residual(Mat3.identity()) == Mat3.identity().scale(gr(3))
+        assert rank2_identity(Mat3.identity()) == Mat3.identity().scale(gr(3))
 
     def test_rank1_on_non_sym_rank1(self):
-        assert rank1_identity_residual(representative(FamilyTag.non_sym_rank1())).is_zero()
+        assert rank1_identity(representative(FamilyTag.non_sym_rank1())).is_zero()
 
     def test_rank1_on_kfamily0(self):
-        assert rank1_identity_residual(representative(FamilyTag.k_family(0))).is_zero()
+        assert rank1_identity(representative(FamilyTag.k_family(0))).is_zero()
 
     def test_rank1_on_zero(self):
-        assert rank1_identity_residual(Mat3.zero()).is_zero()
+        assert rank1_identity(Mat3.zero()).is_zero()
 
     def test_identities_exact_on_congruates(self):
         # both identities transform as T'(...)T, so they vanish on whole orbits
         for tag in (FamilyTag.trace_minus_2(), FamilyTag.k_family(3)):
             for seed in range(5):
-                assert rank2_identity_residual(exact_congruate(tag, 700 + seed)).is_zero()
+                assert rank2_identity(exact_congruate(tag, 700 + seed)).is_zero()
         for tag in (FamilyTag.non_sym_rank1(), FamilyTag.k_family(0)):
             for seed in range(5):
                 B = exact_congruate(tag, 750 + seed)
-                assert rank1_identity_residual(B).is_zero()
+                assert rank1_identity(B).is_zero()
                 assert B.trace() == gr(-1)
 
 
@@ -321,6 +321,15 @@ class TestClassify:
         assert classify(A).tag == tag
         with pytest.raises(ValueError, match="exceeds the floating range"):
             classify(A, find_witness=True)
+
+    def test_tags_past_the_float_range_compare(self):
+        # exact parameters compare by the exact distance, inf past the float
+        # range; against a floating parameter that distance is inf too
+        huge = FamilyTag.k_family(10**400)
+        assert not huge.close_to(FamilyTag.k_family(1), 1e-6)
+        assert huge.close_to(FamilyTag.k_family(10**400), 0.0)
+        assert not huge.close_to(FamilyTag.k_family(1 + 0j), 1e300)
+        assert FamilyTag.k_family(Fraction(1, 3)).close_to(FamilyTag.k_family(1 / 3 + 0j), 1e-15)
 
     @pytest.mark.parametrize("name,tag", oracle_cases())
     def test_representatives_round_trip(self, name, tag):

