@@ -150,13 +150,7 @@ def cmd_orbit_test(args):
 
 def cmd_search(args):
     try:
-        report = solver.multistart(
-            args.starts,
-            args.seed,
-            radius=args.radius,
-            max_iter=args.max_iter,
-            tol=args.tol,
-        )
+        report = solver.multistart(args.starts, args.seed, radius=args.radius)
     except mateq.Inconclusive as exc:
         return VIOLATION, {"error": "Inconclusive", "detail": str(exc)}
     return OK, serialize.survey_to_json(report)
@@ -219,8 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--radius", type=float, default=solver.DEFAULT_RADIUS)
-    p.add_argument("--tol", type=float, default=solver.DEFAULT_NEWTON_TOL)
-    p.add_argument("--max-iter", type=int, default=solver.DEFAULT_MAX_ITER)
 
     p = sub.add_parser("random-so3", help="seeded random SO(3,C) element")
     p.add_argument("--seed", type=int, required=True)

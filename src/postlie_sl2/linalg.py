@@ -312,8 +312,9 @@ def _coerce_scalars(values, where="entries"):
 
 class Entries:
     """The elementwise operations of the flat values, on the tuple
-    ``entries`` of scalars of one ``kind``; values are unhashable and equal
-    only to values of their own class."""
+    ``entries`` of scalars of one ``kind``; values are unhashable, equal
+    only to values of their own class, and take only those as operands
+    (``Vec3 @`` takes a ``Mat3``)."""
 
     __slots__ = ("entries", "kind")
     #: what the kind check's messages call the entries
@@ -328,8 +329,11 @@ class Entries:
         value.entries, value.kind = _coerce_scalars(entries, cls._where)
         return value
 
-    def _same_kind(self, other):
-        """Refuse an operand of the other kind, as the kind check does."""
+    def _same_kind(self, other, cls=None):
+        """Refuse an operand that is not a ``cls``, by default of this
+        class, and one of the other kind as the kind check does."""
+        if not isinstance(other, cls or type(self)):
+            raise TypeError(f"{type(self).__name__} does not combine with {type(other).__name__}")
         if other.kind != self.kind:
             raise ValueError(f"mixed exact and floating {self._where}")
 
@@ -345,6 +349,9 @@ class Entries:
         return self._of([-a for a in self.entries])
 
     def scale(self, s):
+        """Every entry times ``s``, an int or a scalar of this value's kind."""
+        if isinstance(s, (float, complex) if self.kind == EXACT else (GaussianRational, Fraction)):
+            raise ValueError(f"mixed exact and floating {self._where}")
         return self._of([s * a for a in self.entries])
 
     @classmethod
@@ -419,7 +426,7 @@ class Vec3(Entries):
 
     def __matmul__(self, A: "Mat3") -> "Vec3":
         """Row vector times matrix."""
-        self._same_kind(A)
+        self._same_kind(A, Mat3)
         a = A.entries
         x0, x1, x2 = self.entries
         return self._of([x0 * a[j] + x1 * a[3 + j] + x2 * a[6 + j] for j in range(3)])
@@ -769,7 +776,7 @@ class JordanSignature:
         return True
 
 
-def jordan_signature(A: Mat3, tol: float = DEFAULT_JORDAN_TOL) -> JordanSignature:
+def jordan_signature(A: Mat3) -> JordanSignature:
     """Cluster the eigenvalues of a floating ``A`` and determine Jordan
     block sizes.
 
@@ -777,7 +784,7 @@ def jordan_signature(A: Mat3, tol: float = DEFAULT_JORDAN_TOL) -> JordanSignatur
     ``(A - lam*I)**p`` for ``p = 1..multiplicity``.  Exact matrices raise
     ``TypeError``.
 
-    The clustering threshold is the larger of ``tol`` and
+    The clustering threshold is the larger of ``DEFAULT_JORDAN_TOL`` and
     ``EIG_CLUSTER_FLOOR`` times the matrix scale, since eigenvalues of a
     floating matrix cannot be resolved below the defective-eigenvalue
     sensitivity of float64.  Raises :class:`IllConditioned` when two
@@ -788,7 +795,7 @@ def jordan_signature(A: Mat3, tol: float = DEFAULT_JORDAN_TOL) -> JordanSignatur
     a = A.to_numpy()
     vals = _sorted_eigenvalues(a)
     scale = max(1.0, float(np.linalg.norm(a, 2)))
-    eff_tol = max(tol, EIG_CLUSTER_FLOOR * scale)
+    eff_tol = max(DEFAULT_JORDAN_TOL, EIG_CLUSTER_FLOOR * scale)
     groups = _cluster(vals, eff_tol)
     gap = _min_intercluster_gap(groups)
     if gap < JORDAN_AMBIGUITY_FACTOR * eff_tol:
@@ -799,7 +806,7 @@ def jordan_signature(A: Mat3, tol: float = DEFAULT_JORDAN_TOL) -> JordanSignatur
     entries = []
     for g in groups:
         lam = sum(g) / len(g)
-        entries.append((lam, _block_sizes(a, lam, len(g), tol)))
+        entries.append((lam, _block_sizes(a, lam, len(g))))
     entries.sort(key=lambda e: (e[0].real, e[0].imag))
     return JordanSignature(tuple(entries))
 
@@ -832,7 +839,7 @@ def _min_intercluster_gap(groups):
     return gap
 
 
-def _block_sizes(a: np.ndarray, lam: complex, mult: int, tol: float) -> tuple:
+def _block_sizes(a: np.ndarray, lam: complex, mult: int) -> tuple:
     """Jordan block sizes of ``lam`` in the complex (3,3) array ``a``, from
     the ranks of the powers of ``a - lam*I``, decided with one batched SVD.
 
@@ -847,7 +854,7 @@ def _block_sizes(a: np.ndarray, lam: complex, mult: int, tol: float) -> tuple:
     sv = np.linalg.svd(np.stack(powers), compute_uv=False)
     scale = max(float(sv[0, 0]), 1.0)
     floors = np.array([scale**p for p in range(1, mult + 1)])
-    ranks = [3] + [rank for rank, _, _ in rank_decisions(sv, tol, floors)]
+    ranks = [3] + [rank for rank, _, _ in rank_decisions(sv, DEFAULT_JORDAN_TOL, floors)]
     return _sizes_from_ranks(ranks, mult, lam)
 
 

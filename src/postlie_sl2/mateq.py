@@ -49,8 +49,11 @@ __all__ = [
     "congruence_test",
 ]
 
+#: the residual norm below which ``is_solution`` answers True
 DEFAULT_SOLUTION_TOL = 1e-9
+#: the classifier's residual bound, relative rank threshold and |tr A + 2| bound
 DEFAULT_CLASSIFY_TOL = 1e-6
+#: bound on each witness defect and on ||A - B||_F for the identity witness
 DEFAULT_WITNESS_TOL = 1e-8
 DEFAULT_BUDGET = 64
 #: singular values decide a nullspace dimension only when each lies this
@@ -226,14 +229,14 @@ def residual_array(A: np.ndarray) -> np.ndarray:
     return At @ ((t + 1) * np.eye(3) - A) - adj
 
 
-def is_solution(A: Mat3, tol: float = DEFAULT_SOLUTION_TOL) -> bool:
+def is_solution(A: Mat3) -> bool:
     """Exact matrices: residual is exactly zero.  Floating: the norm of
-    :func:`residual_array` is below ``tol``, which a residual that
-    overflows to inf or nan never is."""
+    :func:`residual_array` is below ``DEFAULT_SOLUTION_TOL``, which a
+    residual that overflows to inf or nan never is."""
     if A.kind == EXACT:
         return not any(re or im for row in _residual_numerators(A)[0] for re, im in row)
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.linalg.norm(residual_array(A.to_numpy())) < tol)
+        return bool(np.linalg.norm(residual_array(A.to_numpy())) < DEFAULT_SOLUTION_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +292,13 @@ def representative(tag: FamilyTag) -> Mat3:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
-def congruate(A: Mat3, T: Mat3, tol: float = DEFAULT_WITNESS_TOL) -> Mat3:
+def congruate(A: Mat3, T: Mat3) -> Mat3:
     """T' A T for T in SO(3,C); solutions map to solutions.
 
-    Raises :class:`so3c.NotOrthogonal` when T fails membership at ``tol``.
+    Raises :class:`so3c.NotOrthogonal` when T fails membership at
+    ``DEFAULT_WITNESS_TOL``.
     """
-    if not so3c.is_special_orthogonal(T, tol):
+    if not so3c.is_special_orthogonal(T, DEFAULT_WITNESS_TOL):
         raise so3c.NotOrthogonal("congruate needs T in SO(3,C)")
     if A.kind != T.kind:
         A, T = A.to_floating(), T.to_floating()
@@ -429,12 +433,12 @@ def _orthogonality_defect(X) -> float:
     return total if total != total else max(moduli)
 
 
-def _witness_from_start(basis: np.ndarray, A, B, seed: int, start: int, tol: float):
+def _witness_from_start(basis: np.ndarray, A, B, seed: int, start: int):
     """The witness, as nine entries, from one seeded random member of the
     nullspace spanned by the (dim,3,3) array ``basis``, or None when its
-    polar factor fails verification against the nine entries A and B; a
-    singular iterate, a non-finite value or a modulus beyond the float
-    range fails too."""
+    polar factor fails verification against the nine entries A and B at
+    ``DEFAULT_WITNESS_TOL``; a singular iterate, a non-finite value or a
+    modulus beyond the float range fails too."""
     rng = np.random.default_rng([seed, start])
     c0 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     S0 = np.dot(c0, basis.reshape(len(basis), 9)).tolist()
@@ -447,14 +451,14 @@ def _witness_from_start(basis: np.ndarray, A, B, seed: int, start: int, tol: flo
         if not defect <= 1e-10:
             return None
         det = cofactors(S)[1]
-        if abs(det + 1) <= tol:
+        if abs(det + 1) <= DEFAULT_WITNESS_TOL:
             S = [-x for x in S]  # odd dimension: -S is orthogonal with determinant +1
             det = cofactors(S)[1]
         # each check must pass, so a defect that is NaN rejects the witness
         if (
-            abs(det - 1) <= tol
-            and frobenius_distance(gram(S, S), _IDENTITY) <= tol
-            and frobenius_distance(gram(gram(A, S), S), B) <= tol
+            abs(det - 1) <= DEFAULT_WITNESS_TOL
+            and frobenius_distance(gram(S, S), _IDENTITY) <= DEFAULT_WITNESS_TOL
+            and frobenius_distance(gram(gram(A, S), S), B) <= DEFAULT_WITNESS_TOL
         ):
             return S
     except OverflowError:  # a modulus beyond the float range
@@ -463,11 +467,7 @@ def _witness_from_start(basis: np.ndarray, A, B, seed: int, start: int, tol: flo
 
 
 def congruence_test(
-    A: Mat3,
-    B: Mat3,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-    tol: float = DEFAULT_WITNESS_TOL,
+    A: Mat3, B: Mat3, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> CongruenceVerdict:
     """Decide whether B = T' A T for some T in SO(3,C).
 
@@ -477,14 +477,15 @@ def congruence_test(
     S -> (X S - S Y, X' S - S Y') for (X, Y) = (A, A), (A, B) and (B, B)
     have one dimension.  Unequal dimensions, each decided with a clear
     singular-value gap, give ``not_congruent``, naming the three
-    dimensions.  B within ``tol`` of A is ``congruent`` with the identity
-    as witness.  Otherwise the orthogonal polar factor of a similarity S
-    from the (A, B) nullspace is a witness: up to ``budget`` seeded random
-    S go through Newton's polar iteration, and a verified witness gives
-    ``congruent``.  When no start gives one, the verdict is ``unknown``.
-    Witnesses satisfy T'T = I, det T = 1 and T' A T = B to ``tol``.  Every
-    verdict carries the three dimensions as ``nullities``.  Raises
-    ``ValueError`` for a negative ``budget``.
+    dimensions.  B within ``DEFAULT_WITNESS_TOL`` of A is ``congruent``
+    with the identity as witness.  Otherwise the orthogonal polar factor
+    of a similarity S from the (A, B) nullspace is a witness: up to
+    ``budget`` seeded random S go through Newton's polar iteration, and a
+    verified witness gives ``congruent``.  When no start gives one, the
+    verdict is ``unknown``.  Witnesses satisfy T'T = I, det T = 1 and
+    T' A T = B to ``DEFAULT_WITNESS_TOL``.  Every verdict carries the three
+    dimensions as ``nullities``.  Raises ``ValueError`` for a negative
+    ``budget``.
     Exact operands are decided on floating copies (``ValueError`` when an
     entry is beyond the float range).
     """
@@ -493,7 +494,7 @@ def congruence_test(
     A9, B9 = A.to_floating().entries, B.to_floating().entries
     dims, decided, basis = _congruence_nullities(A9, B9)
     nullities = (dims, decided)
-    if frobenius_distance(A9, B9) <= tol:
+    if frobenius_distance(A9, B9) <= DEFAULT_WITNESS_TOL:
         return CongruenceVerdict.congruent(Mat3.identity(exact=False), nullities)
     if all(decided) and len(set(dims)) > 1:
         invariant = "dim{S : XS = SY, X'S = SY'} for (A,A), (A,B), (B,B) = " + str(dims)
@@ -501,7 +502,7 @@ def congruence_test(
     if basis is None or not len(basis):
         return CongruenceVerdict.unknown(0, nullities)
     for start in range(budget):
-        S = _witness_from_start(basis, A9, B9, seed, start, tol)
+        S = _witness_from_start(basis, A9, B9, seed, start)
         if S is not None:
             return CongruenceVerdict.congruent(Mat3([S[0:3], S[3:6], S[6:9]]), nullities)
     return CongruenceVerdict.unknown(budget, nullities)
@@ -552,7 +553,7 @@ def _family_tag(rank_of, trace, at_minus_2: bool, exact: bool):
     return tag, tuple(invariants)
 
 
-def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
+def classify_stack(A: np.ndarray) -> list:
     """Floating classification of every matrix of a stack of finite complex
     (3,3) arrays, shape (N,3,3).
 
@@ -564,12 +565,14 @@ def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
     finite is never a solution.  rank(sym(A) + I/2),
     floored at the scale, is computed only for the rows of rank 1, and
     rank(A'A), floored at the scale squared, only for the rows of rank 2
-    with |tr(A) + 2| <= tol; the SVD of a second rank runs only when some
-    row reads it, and an empty stack runs none.  Each report lists one
-    margin per rank decision: the singular value nearest the threshold,
-    and the threshold.  A row's report does not depend on the other rows.
+    with |tr(A) + 2| <= ``DEFAULT_CLASSIFY_TOL``; the SVD of a second rank
+    runs only when some row reads it, and an empty stack runs none.  Each
+    report lists one margin per rank decision: the singular value nearest
+    the threshold, and the threshold.  A row's report does not depend on
+    the other rows.
     """
     A = np.asarray(A, dtype=complex)
+    tol = DEFAULT_CLASSIFY_TOL
     if not len(A):
         return []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -615,11 +618,7 @@ def classify_stack(A: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOL) -> list:
 
 
 def classify(
-    A: Mat3,
-    tol: float = DEFAULT_CLASSIFY_TOL,
-    find_witness: bool = False,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
+    A: Mat3, find_witness: bool = False, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> ClassificationReport:
     """Map a solution of the matrix equation to its congruence class.
 
@@ -632,10 +631,11 @@ def classify(
     one-row call of :func:`classify_stack`, whose report carries the margin
     of each rank decision.  A KFamily tag carries k as a GaussianRational
     for exact input and as a complex for floating input, on every branch.
-    Raises :class:`NotASolution` when the residual exceeds ``tol`` and
-    :class:`Inconclusive` when no branch matches, which cannot happen for
-    true solutions; with ``find_witness``, an exact entry beyond the float
-    range raises ``ValueError``.
+    Raises :class:`NotASolution` when the residual norm reaches
+    ``DEFAULT_CLASSIFY_TOL`` and :class:`Inconclusive` when no branch
+    matches, which cannot happen for true solutions; with
+    ``find_witness``, an exact entry beyond the float range raises
+    ``ValueError``.
     """
     if A.kind == EXACT:
         R, N, D = _residual_numerators(A)
@@ -657,7 +657,7 @@ def classify(
         )
         report = ClassificationReport(tag, 0.0, invariants)
     else:
-        report = classify_stack(A.to_numpy()[None], tol)[0]
+        report = classify_stack(A.to_numpy()[None])[0]
         if not isinstance(report, ClassificationReport):
             raise report
 

@@ -40,6 +40,9 @@ __all__ = [
     "check_rota_baxter",
 ]
 
+#: the largest modulus of an entry of a floating defect that counts as zero
+DEFECT_TOL = 1e-9
+
 
 class NotAdjointForm(ValueError):
     """The product is not of the form x o y = [f(x), y] for any linear f."""
@@ -163,13 +166,13 @@ def circ_from_matrix(A: Mat3) -> StructureConstants:
 LIE_BRACKET = circ_from_matrix(Mat3.identity())
 
 
-def matrix_from_circ(c: StructureConstants, tol: float = 1e-9) -> Mat3:
+def matrix_from_circ(c: StructureConstants) -> Mat3:
     """Recover the unique A with ``circ_from_matrix(A) == c``.
 
     A is read off the slots where ``circ_from_matrix`` places it; the rest
     of the table is a consistency check.  Raises :class:`NotAdjointForm`
-    when it fails (exactly in exact mode, by a modulus beyond ``tol`` in
-    floating mode, where a difference past the float range is inf).
+    when it fails (exactly in exact mode, by a modulus beyond ``DEFECT_TOL``
+    in floating mode, where a difference past the float range is inf).
     """
     e = c.entries
     a = [e[n] for n in _MATRIX_SLOTS]
@@ -180,7 +183,7 @@ def matrix_from_circ(c: StructureConstants, tol: float = 1e-9) -> Mat3:
             raise NotAdjointForm("product is not an adjoint-form product")
     else:
         defect = max(math.hypot(d.real, d.imag) for d in (x - y for x, y in zip(back, e)))
-        if defect > tol:
+        if defect > DEFECT_TOL:
             raise NotAdjointForm(f"product is not an adjoint-form product (defect {defect:.3e})")
     return A
 
@@ -221,12 +224,12 @@ def _column(C, j):
     return C[0][j], C[1][j], C[2][j]
 
 
-def _violations(defects, D, exact, tol):
+def _violations(defects, D, exact):
     """The failed instances among ``(identity, indices, power, r)``, where
     ``r / D**power`` is the defect vector.
 
     An exact defect fails when it is nonzero, a floating one when an entry
-    exceeds ``tol`` in absolute value.
+    exceeds ``DEFECT_TOL`` in absolute value.
     """
     violations = []
     for identity, indices, power, r in defects:
@@ -237,7 +240,7 @@ def _violations(defects, D, exact, tol):
             residual = Vec3([GaussianRational.from_numerators(re, im, s) for re, im in r])
         else:
             residual = Vec3([complex(re, im) for re, im in r])
-            if not residual.max_abs() > tol:
+            if not residual.max_abs() > DEFECT_TOL:
                 continue
         violations.append(IdentityViolation(identity, indices, residual))
     return violations
@@ -302,19 +305,19 @@ def _derivation_postlie_defects(C, D):
             yield "postlie-3", (a + 1, b + 1, d + 1), 2, ads[b, d][a]
 
 
-def check_postlie(c: StructureConstants, tol: float = 1e-9) -> list[IdentityViolation]:
+def check_postlie(c: StructureConstants) -> list[IdentityViolation]:
     """Evaluate both product axioms of a PostLie structure on basis triples.
 
     The two bracket axioms concern the fixed bracket and are validated once
     at import time; the returned list is empty exactly when the product
-    turns the fixed bracket into a PostLie algebra (to ``tol`` in floating
-    mode).  An exact table whose left multiplications are all
+    turns the fixed bracket into a PostLie algebra (to ``DEFECT_TOL`` in
+    floating mode).  An exact table whose left multiplications are all
     antisymmetric is decided in derivation form, with the same list.
     """
     C, D, exact = _table_form(c)
     if exact and all(_antisymmetric(L) for L in C):
-        return _violations(_derivation_postlie_defects(C, D), D, exact, tol)
-    return _violations(_postlie_defects(C, D), D, exact, tol)
+        return _violations(_derivation_postlie_defects(C, D), D, exact)
+    return _violations(_postlie_defects(C, D), D, exact)
 
 
 def derived_bracket(c: StructureConstants) -> StructureConstants:
@@ -341,10 +344,10 @@ def _jacobi_defects(B):
                 yield "jacobi", (i + 1, j + 1, k + 1), 2, r
 
 
-def check_jacobi(b: StructureConstants, tol: float = 1e-9) -> list[IdentityViolation]:
+def check_jacobi(b: StructureConstants) -> list[IdentityViolation]:
     """Antisymmetry on all basis pairs plus the Jacobi identity on all triples."""
     B, D, exact = _table_form(b)
-    return _violations(_jacobi_defects(B), D, exact, tol)
+    return _violations(_jacobi_defects(B), D, exact)
 
 
 def _rota_baxter_defects(F, D, exact):
@@ -368,12 +371,12 @@ def _rota_baxter_defects(F, D, exact):
             yield "rota-baxter", (i + 1, j + 1), 2, r
 
 
-def check_rota_baxter(A: Mat3, tol: float = 1e-9) -> list[IdentityViolation]:
+def check_rota_baxter(A: Mat3) -> list[IdentityViolation]:
     """Check on all basis pairs that f given by the rows of A satisfies
     [f(x),f(y)] = f([f(x),y] + [x,f(y)] + [x,y])."""
     exact = A.kind == EXACT
     F, D = numerator_vectors(A.entries)
-    return _violations(_rota_baxter_defects(F, D, exact), D, exact, tol)
+    return _violations(_rota_baxter_defects(F, D, exact), D, exact)
 
 
 def _validate_fixed_bracket() -> bool:

@@ -38,6 +38,8 @@ _MAX_RESAMPLE = 100
 _DET_GUARD = 1e-6
 #: the tolerance every ``random_so3`` draw passes membership at
 MEMBERSHIP_TOL = 1e-10
+#: bound on ||cof(T) - T||_F for ``automorphism_check`` on a floating T
+AUTOMORPHISM_TOL = 1e-10
 #: complex orthogonal matrices have unbounded norm; draws above this spectral
 #: norm are rejected so that downstream float error stays ~1e-13 (about 6% of
 #: raw Cayley draws)
@@ -141,14 +143,14 @@ def adjoint_rep(P: Mat2) -> Mat3:
     )
 
 
-def automorphism_check(T: Mat3, tol: float = 1e-10) -> bool:
+def automorphism_check(T: Mat3) -> bool:
     """True iff T induces a Lie algebra automorphism in the fixed basis.
 
     Bracket preservation on all basis pairs is equivalent to the adjugate
     identity (T*)' = T, which is what gets evaluated here: the cofactor
-    matrix of T equals T.
+    matrix of T equals T, exactly or to ``AUTOMORPHISM_TOL``.
     """
     cof = cofactors(T.entries)[0]
     if T.kind == EXACT:
         return cof == list(T.entries)
-    return frobenius_distance(cof, T.entries) <= tol
+    return frobenius_distance(cof, T.entries) <= AUTOMORPHISM_TOL

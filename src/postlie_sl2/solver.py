@@ -40,7 +40,9 @@ __all__ = [
     "multistart",
 ]
 
+#: a row has converged once its residual norm is below this
 DEFAULT_NEWTON_TOL = 1e-12
+#: Newton steps a row may take before the polish
 DEFAULT_MAX_ITER = 50
 DEFAULT_RADIUS = 2.0
 #: shift relative to tr(J^H J); of 1e-14 ... 1e-10 it took the fewest
@@ -196,18 +198,15 @@ def _newton_step(A: np.ndarray, F: np.ndarray, norm: np.ndarray):
     return A, F, norm, accepted, regularised
 
 
-def _newton(A0: np.ndarray, max_iter: int, tol: float):
+def _newton(A0: np.ndarray):
     """Damped Newton from every row of a complex (N,3,3) array.
 
-    A row steps until its residual norm is below ``tol``, its line search
-    stalls or it has taken ``max_iter`` steps; a converged row then takes
-    up to POLISH_STEPS further steps while they lower its norm.  Returns
-    the arrays (A, norm, iterations, regularised steps, stalled).
+    A row steps until its residual norm is below ``DEFAULT_NEWTON_TOL``,
+    its line search stalls or it has taken ``DEFAULT_MAX_ITER`` steps; a
+    converged row then takes up to POLISH_STEPS further steps while they
+    lower its norm.  Returns the arrays (A, norm, iterations, regularised
+    steps, stalled).
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
     # a start far out overflows its residual norm to inf; the row then
     # fails to converge and is counted, so the overflow is no error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -217,8 +216,8 @@ def _newton(A0: np.ndarray, max_iter: int, tol: float):
         iterations = np.zeros(len(A), dtype=int)
         regularised = np.zeros(len(A), dtype=int)
         stalled = np.zeros(len(A), dtype=bool)
-        for _ in range(max_iter):
-            rows = np.flatnonzero(~(norm < tol) & ~stalled)
+        for _ in range(DEFAULT_MAX_ITER):
+            rows = np.flatnonzero(~(norm < DEFAULT_NEWTON_TOL) & ~stalled)
             if rows.size == 0:
                 break
             A[rows], F[rows], norm[rows], accepted, reg = _newton_step(
@@ -230,7 +229,7 @@ def _newton(A0: np.ndarray, max_iter: int, tol: float):
 
         # polish: the structural identities of a root are only as tight as
         # the final residual, so drive it to the floor while steps keep paying
-        polishing = norm < tol
+        polishing = norm < DEFAULT_NEWTON_TOL
         for _ in range(POLISH_STEPS):
             rows = np.flatnonzero(polishing & (norm != 0.0))
             if rows.size == 0:
@@ -244,11 +243,7 @@ def _newton(A0: np.ndarray, max_iter: int, tol: float):
         return A, norm, iterations, regularised, stalled
 
 
-def newton_solve(
-    A0: Mat3,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_NEWTON_TOL,
-) -> SolveResult:
+def newton_solve(A0: Mat3) -> SolveResult:
     """Damped Newton iteration on the 9 complex entries: the one-row call
     of the batched kernel.
 
@@ -259,8 +254,8 @@ def newton_solve(
     :func:`multistart` classifies a block; a row that fails to classify
     gets no classification.
     """
-    A, norm, iterations, regularised, stalled = _newton(A0.to_numpy()[None], max_iter, tol)
-    converged = bool(norm[0] < tol)
+    A, norm, iterations, regularised, stalled = _newton(A0.to_numpy()[None])
+    converged = bool(norm[0] < DEFAULT_NEWTON_TOL)
     report = mateq.classify_stack(A)[0] if converged else None
     return SolveResult(
         A_final=Mat3.from_numpy(A[0]),
@@ -284,13 +279,7 @@ def _seeded_starts(seed: int, indices, radius: float) -> np.ndarray:
     return radius * np.sqrt(u) * np.exp(1j * theta)
 
 
-def multistart(
-    n_starts: int,
-    seed: int,
-    radius: float = DEFAULT_RADIUS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_NEWTON_TOL,
-) -> SurveyReport:
+def multistart(n_starts: int, seed: int, radius: float = DEFAULT_RADIUS) -> SurveyReport:
     """Run Newton from seeded random starts and tally the families found.
 
     The starts are solved BLOCK_ROWS at a time by the batched kernel, and
@@ -310,8 +299,8 @@ def multistart(
     converged_count = regularised = stalls = 0
     for lo in range(0, n_starts, BLOCK_ROWS):
         starts = _seeded_starts(seed, range(lo, min(lo + BLOCK_ROWS, n_starts)), radius)
-        A, norm, iterations, reg, stalled = _newton(starts, max_iter, tol)
-        rows = np.flatnonzero(norm < tol)
+        A, norm, iterations, reg, stalled = _newton(starts)
+        rows = np.flatnonzero(norm < DEFAULT_NEWTON_TOL)
         for row, report in zip(rows.tolist(), mateq.classify_stack(A[rows])):
             if not isinstance(report, mateq.ClassificationReport):
                 raise mateq.Inconclusive(

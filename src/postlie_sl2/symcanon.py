@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import mateq
 from .linalg import (
+    DEFAULT_JORDAN_TOL,
     EXACT,
     GaussianRational,
     IllConditioned,
@@ -38,7 +39,8 @@ __all__ = [
     "find_orthogonal_similarity",
 ]
 
-DEFAULT_SYM_TOL = 1e-6
+#: bound on ||S - S'||_F and on a zero eigenvalue; the Jordan tolerance
+DEFAULT_SYM_TOL = DEFAULT_JORDAN_TOL
 
 
 class NotSymmetric(ValueError):
@@ -174,19 +176,20 @@ def canonical_matrix(f: SymCanonicalForm) -> Mat3:
     return Mat3(rows)
 
 
-def _require_symmetric(S: Mat3, tol: float) -> None:
-    """Exact input must equal its transpose; floating input within ``tol``,
-    where a distance past the float range is inf and fails."""
+def _require_symmetric(S: Mat3) -> None:
+    """Exact input must equal its transpose; floating input within
+    ``DEFAULT_SYM_TOL``, where a distance past the float range is inf and
+    fails."""
     X = S.entries
     transposed = X[0::3] + X[1::3] + X[2::3]
     if S.kind == EXACT:
         if X != transposed:
             raise NotSymmetric("input is not symmetric")
-    elif frobenius_distance(X, transposed) > tol:
+    elif frobenius_distance(X, transposed) > DEFAULT_SYM_TOL:
         raise NotSymmetric("input is not symmetric at the tolerance")
 
 
-def classify_symmetric(S: Mat3, tol: float = DEFAULT_SYM_TOL) -> SymCanonicalForm:
+def classify_symmetric(S: Mat3) -> SymCanonicalForm:
     """Identify the unique canonical form orthogonally similar to ``S``.
 
     Clusters the eigenvalues, reads off the Jordan blocks and looks their
@@ -194,16 +197,17 @@ def classify_symmetric(S: Mat3, tol: float = DEFAULT_SYM_TOL) -> SymCanonicalFor
     sorted by size, then by the (real, imag) of their eigenvalue, which
     gives the parameter order; signed coordinate permutations lie in
     SO(3,C), so the orderings of equal-size blocks are congruent.  An
-    exact entry beyond the float range raises ``ValueError``.
+    exact entry beyond the float range raises ``ValueError``.  Symmetry
+    and a zero eigenvalue are decided at ``DEFAULT_SYM_TOL``.
     """
-    _require_symmetric(S, tol)
-    sig = jordan_signature(S.to_floating(), tol)
+    _require_symmetric(S)
+    sig = jordan_signature(S.to_floating())
 
     zero: tuple = ()
     nonzero: list[tuple[int, complex]] = []
     for lam, blocks in sig.entries:
         lam = complex(lam)
-        if abs(lam) <= tol:
+        if abs(lam) <= DEFAULT_SYM_TOL:
             zero = blocks
         else:
             nonzero.extend((k, lam) for k in blocks)
@@ -220,18 +224,14 @@ def classify_symmetric(S: Mat3, tol: float = DEFAULT_SYM_TOL) -> SymCanonicalFor
 
 
 def find_orthogonal_similarity(
-    S1: Mat3,
-    S2: Mat3,
-    budget: int = mateq.DEFAULT_BUDGET,
-    seed: int = 0,
-    tol: float = DEFAULT_SYM_TOL,
+    S1: Mat3, S2: Mat3, budget: int = mateq.DEFAULT_BUDGET, seed: int = 0
 ) -> mateq.CongruenceVerdict:
     """Congruence test specialized to symmetric inputs.
 
     For T in SO(3,C) congruence equals orthogonal similarity, so this
     delegates to the general congruence decision procedure after checking
-    symmetry of both inputs.
+    symmetry of both inputs at ``DEFAULT_SYM_TOL``.
     """
-    _require_symmetric(S1, tol)
-    _require_symmetric(S2, tol)
+    _require_symmetric(S1)
+    _require_symmetric(S2)
     return mateq.congruence_test(S1, S2, budget=budget, seed=seed)

@@ -398,9 +398,8 @@ def reference_solve_rows(starts) -> list:
     classify gets no classification."""
     from postlie_sl2 import solver
 
-    tol = solver.DEFAULT_NEWTON_TOL
-    A, norm, iterations, regularised, stalled = solver._newton(starts, solver.DEFAULT_MAX_ITER, tol)
-    converged = norm < tol
+    A, norm, iterations, regularised, stalled = solver._newton(starts)
+    converged = norm < solver.DEFAULT_NEWTON_TOL
     reports = dict(zip(np.flatnonzero(converged).tolist(), mateq.classify_stack(A[converged])))
     return [
         solver.SolveResult(

@@ -364,8 +364,11 @@ class TestSearch:
         assert payload["regularised_steps"] >= 0
         assert payload["stalls"] <= payload["failures"]
 
+    # the Newton thresholds are module constants: --tol and --max-iter are
+    # unrecognized flags
     @pytest.mark.parametrize(
-        "flag, value", [("--tol", "nan"), ("--radius", "nan"), ("--radius", "-1")]
+        "flag, value",
+        [("--tol", "1e-12"), ("--max-iter", "5"), ("--radius", "nan"), ("--radius", "-1")],
     )
     def test_bad_arguments_are_errors(self, capsys, flag, value):
         code, doc = run(capsys, "search", "--seed", "1", "--starts", "3", flag, value)

@@ -235,10 +235,15 @@ def test_exponent_notation_is_refused_at_once(tmp_path):
         (["orbit-test", "a.json"], "orbit-test"),
         (["search", "--starts", "abc", "--seed", "1"], "search"),
         (["search", "--starts", "5"], "search"),
+        (["search", "--seed", "1", "--tol", "1e-12"], "search"),
+        (["search", "--seed", "1", "--max-iter", "5"], "search"),
         (["no-such-command"], None),
         ([], None),
     ],
-    ids=["missing-file-and-seed", "malformed-int", "missing-seed", "unknown-command", "no-command"],
+    ids=[
+        "missing-file-and-seed", "malformed-int", "missing-seed", "threshold-tol",
+        "threshold-max-iter", "unknown-command", "no-command",
+    ],
 )
 def test_bad_command_line_is_one_error_document(argv, command):
     code, doc, _ = run_process(*argv)

@@ -517,6 +517,42 @@ class TestFlatEntries:
         with pytest.raises(ValueError, match="mixed exact and floating coordinates"):
             Vec3([1, 2, 3]).cross(Vec3([1.0, 2.0, 3.0]))
 
+    def test_sum_with_another_class_is_refused(self):
+        with pytest.raises(TypeError, match="Mat3 does not combine with Vec3"):
+            Mat3.identity() + Vec3([1, 2, 3])
+        with pytest.raises(TypeError, match="Vec3 does not combine with Mat3"):
+            Vec3([1, 2, 3]) - Mat3.identity()
+        with pytest.raises(TypeError, match="Mat2 does not combine with Mat3"):
+            Mat2.identity() + Mat3.identity()
+
+    def test_product_with_another_class_is_refused(self):
+        with pytest.raises(TypeError, match="Mat2 does not combine with Mat3"):
+            Mat2.identity() @ Mat3.identity()
+        with pytest.raises(TypeError, match="Mat3 does not combine with Mat2"):
+            Mat3.identity() @ Mat2.identity()
+        with pytest.raises(TypeError, match="Mat3 does not combine with Vec3"):
+            Mat3.identity() @ Vec3([1, 2, 3])
+
+    def test_vector_times_anything_but_a_mat3_is_refused(self):
+        for other in (Mat2.identity(), Vec3([1, 2, 3])):
+            with pytest.raises(TypeError, match="Vec3 does not combine with"):
+                Vec3([1, 2, 3]) @ other
+
+    def test_cross_with_anything_but_a_vector_is_refused(self):
+        with pytest.raises(TypeError, match="Vec3 does not combine with Mat3"):
+            Vec3([1, 2, 3]).cross(Mat3.identity())
+
+    def test_scale_by_a_scalar_of_the_other_kind_is_refused(self):
+        with pytest.raises(ValueError, match="mixed exact and floating entries"):
+            Mat3.identity().scale(0.5)
+        with pytest.raises(ValueError, match="mixed exact and floating entries"):
+            Mat3.identity(exact=False).scale(GaussianRational(1, 2))
+        with pytest.raises(ValueError, match="mixed exact and floating coordinates"):
+            Vec3([1, 2, 3]).scale(1j)
+        # an int scales either kind
+        assert Mat3.identity().scale(2) == Mat3.diag(2, 2, 2)
+        assert Vec3([1.0, 0, 0]).scale(-3) == Vec3([-3.0, 0.0, 0.0])
+
 
 # -- basic matrix operations -----------------------------------------------
 
@@ -811,7 +847,7 @@ class TestJordanSignature:
         # gap 5e-4 sits between the effective tolerance and ten times it
         A = Mat3.diag(1.0, 1.0 + 5e-4, 3.0)
         with pytest.raises(IllConditioned):
-            jordan_signature(A, 1e-6)
+            jordan_signature(A)
 
     @pytest.mark.parametrize("blocks", [(3,), (2, 1)])
     def test_blocks_at_a_non_real_eigenvalue(self, blocks):

@@ -534,10 +534,10 @@ class TestReferenceOracle:
             assert check_postlie(c) == reference_check_postlie(c) == []
             assert check_rota_baxter(A) == reference_check_rota_baxter(A) == []
 
-    def test_floating_threshold(self):
-        # a solution moved off the solution set by 3e-9: a tol just below
-        # a defect's largest entry keeps that violation and one just above
-        # drops it, in both implementations alike
+    def test_floating_threshold(self, monkeypatch):
+        # a solution moved off the solution set by 3e-9: a threshold just
+        # below a defect's largest entry keeps that violation and one just
+        # above drops it, in both implementations alike
         A = exact_congruate(mateq.FamilyTag.trace_minus_2(), 5).to_floating()
         A = A + Mat3.diag(3e-9 + 0j, 0j, 0j)
         c = circ_from_matrix(A)
@@ -553,7 +553,8 @@ class TestReferenceOracle:
             for m in (defects[0], defects[len(defects) // 2]):
                 below, above = m * (1 - 1e-9), m * (1 + 1e-9)
                 for tol in (below, above):
-                    _assert_floating_match(check(arg, tol=tol), reference(arg, tol=tol))
+                    monkeypatch.setattr(sl2, "DEFECT_TOL", tol)
+                    _assert_floating_match(check(arg), reference(arg, tol=tol))
                 assert len(reference(arg, tol=below)) > len(reference(arg, tol=above))
 
 
@@ -610,14 +611,16 @@ class TestIndependentInstances:
             for i, j in itertools.permutations(range(1, 4), 2):
                 assert by_index[j, i] == -by_index[i, j]
 
-    def test_no_diagonal_instance_is_reported(self):
+    def test_no_diagonal_instance_is_reported(self, monkeypatch):
+        # floating mode contracts the diagonal too, and it cancels exactly:
+        # no diagonal instance is reported even at threshold 0
+        monkeypatch.setattr(sl2, "DEFECT_TOL", 0.0)
         rng = np.random.default_rng(19)
         for _ in range(10):
             c = _dense_exact_table(rng)
             A = _dense_exact_matrix(rng)
             cases = [check_postlie(c), check_rota_baxter(A)]
-            # floating mode contracts the diagonal too, and it cancels exactly
-            cases += [check_postlie(c.to_floating(), tol=0.0), check_rota_baxter(A.to_floating(), tol=0.0)]
+            cases += [check_postlie(c.to_floating()), check_rota_baxter(A.to_floating())]
             for violations in cases:
                 assert violations
                 assert not [v for v in violations if _diagonal(v)]

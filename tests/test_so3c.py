@@ -165,7 +165,7 @@ class TestAutomorphismCheck:
                     rhs = bracket(Vec3.basis(i, exact=False), Vec3.basis(j, exact=False)) @ T
                     if (lhs - rhs).max_abs() > 1e-9:
                         preserved = False
-            assert automorphism_check(T, 1e-9) == preserved
+            assert automorphism_check(T) == preserved
 
 
 def _near_group(rng, count):
@@ -199,10 +199,12 @@ class TestDecisionsAgainstMat3Formulas:
             # both answers occur, so the cases straddle the tolerance
             assert any(got) and not all(got)
 
-    def test_automorphism(self):
+    def test_automorphism(self, monkeypatch):
         cases = _near_group(np.random.default_rng(32), 30)
         for tol in (1e-9, 1e-10):
-            got = [automorphism_check(T, tol) for T in cases]
+            # the decision follows the module threshold, at either value
+            monkeypatch.setattr(so3c, "AUTOMORPHISM_TOL", tol)
+            got = [automorphism_check(T) for T in cases]
             assert got == [reference_automorphism_check(T, tol) for T in cases]
             assert any(got) and not all(got)
 

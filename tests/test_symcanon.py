@@ -121,7 +121,7 @@ class TestUniqueness:
         sigs = []
         for f in SAMPLE_FORMS:
             M = canonical_matrix(f).to_floating()
-            sigs.append(jordan_signature(M, 1e-6))
+            sigs.append(jordan_signature(M))
         for i in range(len(sigs)):
             for j in range(i + 1, len(sigs)):
                 assert not sigs[i].close_to(sigs[j], 1e-3), (
