@@ -37,6 +37,18 @@ the classifier, the Jordan signatures and the congruence nullspaces all
 read it.  Jordan signatures are floating only, and read their eigenvalues
 from ``np.linalg.eigvals``.
 
+A flat value computes a derived form once: ``value.derived(form)`` runs
+``form(value)`` on the first call and keeps the result on the value, and
+``value.keep(form, result)`` hands it a result its caller already has.  An
+exact value keeps its numerator form (:func:`numerator_form`), and
+``mateq`` keeps the residual numerators of a matrix, which ``residual``,
+``is_solution`` and ``classify`` all read; ``sl2.circ_from_matrix`` hands
+its table the numerator and derivation forms it placed from A's.  This is
+sound because values are immutable and a form is a function of the
+entries alone: a kept result never goes stale, and two threads that
+compute one at once keep equal results.  A value built from another, even
+with equal entries, or copied, starts with nothing kept.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently without locks.
 """
@@ -62,6 +74,7 @@ __all__ = [
     "IllConditioned",
     "rank_decisions",
     "numerator_vectors",
+    "numerator_form",
     "times",
     "ad",
     "contract",
@@ -289,11 +302,14 @@ IM = GaussianRational(0, 1)
 def _coerce_scalars(values, where="entries"):
     """Normalize a flat scalar list to one kind; reject mixed or non-finite."""
     values = tuple(values)
-    # the first entry settles the common floating case without a scan
-    if type(values[0]) is GaussianRational and all(
-        type(v) is GaussianRational for v in values
-    ):
+    # all exact, or all finite complex, is settled by one scan
+    first = type(values[0])
+    if first is GaussianRational and all(type(v) is GaussianRational for v in values):
         return values, EXACT
+    if first is complex and all(type(v) is complex for v in values) and all(
+        map(cmath.isfinite, values)
+    ):
+        return values, FLOATING
     has_float = any(isinstance(v, (float, complex)) for v in values)
     has_exact = any(isinstance(v, (GaussianRational, Fraction)) for v in values)
     if not has_float and not has_exact:
@@ -314,9 +330,10 @@ class Entries:
     """The elementwise operations of the flat values, on the tuple
     ``entries`` of scalars of one ``kind``; values are unhashable, equal
     only to values of their own class, and take only those as operands
-    (``Vec3 @`` takes a ``Mat3``)."""
+    (``Vec3 @`` takes a ``Mat3``).  :meth:`derived` keeps a form computed
+    from the entries on the value."""
 
-    __slots__ = ("entries", "kind")
+    __slots__ = ("entries", "kind", "_derived")
     #: what the kind check's messages call the entries
     _where = "entries"
     #: the number of entries
@@ -328,6 +345,29 @@ class Entries:
         value = object.__new__(cls)
         value.entries, value.kind = _coerce_scalars(entries, cls._where)
         return value
+
+    def derived(self, form):
+        """``form(self)``, computed on this value's first call and kept on
+        the value; ``form`` must be a function of the entries alone."""
+        kept = getattr(self, "_derived", None)
+        if kept is not None and form in kept:
+            return kept[form]
+        result = form(self)
+        self.keep(form, result)
+        return result
+
+    def keep(self, form, result):
+        """Keep ``result`` as ``form(self)`` for :meth:`derived`, for a
+        caller that has it from elsewhere; it must equal ``form(self)``."""
+        kept = getattr(self, "_derived", None)
+        if kept is None:
+            self._derived = {form: result}
+        else:
+            kept[form] = result
+
+    def __getstate__(self):
+        # a copy or a pickle carries the entries, not the kept forms
+        return None, {"entries": self.entries, "kind": self.kind}
 
     def _same_kind(self, other, cls=None):
         """Refuse an operand that is not a ``cls``, by default of this
@@ -582,7 +622,7 @@ class Mat3(_SquareMatrix):
         if self.kind == EXACT:
             if tol not in (None, 0, 0.0):
                 raise ValueError("exact rank requires tol=0")
-            return rank_numerators(numerator_vectors(self.entries)[0])
+            return rank_numerators(self.derived(numerator_form)[0])
         if tol is None:
             tol = DEFAULT_RANK_TOL
         sv = np.linalg.svd(self.to_numpy(), compute_uv=False)
@@ -671,7 +711,14 @@ def numerator_vectors(scalars):
     else:
         D = 1.0
         pairs = [(z.real, z.imag) for z in scalars]
-    return tuple(tuple(pairs[n : n + 3]) for n in range(0, len(pairs), 3)), D
+    triples = iter(pairs)
+    return tuple(zip(triples, triples, triples)), D
+
+
+def numerator_form(value):
+    """:func:`numerator_vectors` of the entries of a flat value, which
+    ``value.derived(numerator_form)`` computes once per value."""
+    return numerator_vectors(value.entries)
 
 
 def times(v, s):

@@ -29,7 +29,7 @@ from . import so3c
 from ._numpy import np
 from .linalg import (
     EXACT, GaussianRational, Mat3, ad, cofactors, contract, frobenius_distance, gram,
-    numerator_vectors, rank_decisions, rank_numerators, times,
+    numerator_form, rank_decisions, rank_numerators, times,
 )
 
 __all__ = [
@@ -186,10 +186,12 @@ _AFTER = [2, 0, 1]
 
 def _residual_numerators(A: Mat3):
     """R D**2 = N'((tr N + D) I - N) - adj(N) for A = N / D, on the int pairs
-    of :func:`linalg.numerator_vectors`, as rows of pairs; with N and D.
+    of :func:`linalg.numerator_form`, as rows of pairs; with N and D.
     Row i is column i of N times (tr N + D) I - N, plus column i+2 cross
-    column i+1, which is minus row i of adj(N)."""
-    N, D = numerator_vectors(A.entries)
+    column i+1, which is minus row i of adj(N).  ``residual``,
+    ``is_solution`` and ``classify`` read it through ``A.derived``, so an
+    exact value computes it once."""
+    N, D = A.derived(numerator_form)
     cols = list(zip(*N))
     trace = ((N[0][0][0] + N[1][1][0] + N[2][2][0] + D, N[0][0][1] + N[1][1][1] + N[2][2][1]),)
     neg = [times(c, -1) for c in cols]
@@ -205,7 +207,7 @@ def residual(A: Mat3) -> Mat3:
     """A'((tr A + 1) I - A) - A*; zero exactly on matrices of PostLie products.
     Floating input is the one-matrix call of :func:`residual_array`."""
     if A.kind == EXACT:
-        R, _, D = _residual_numerators(A)
+        R, _, D = A.derived(_residual_numerators)
         return Mat3([[GaussianRational.from_numerators(*z, D * D) for z in row] for row in R])
     with np.errstate(over="ignore", invalid="ignore"):
         return Mat3.from_numpy(residual_array(A.to_numpy()))
@@ -234,7 +236,7 @@ def is_solution(A: Mat3) -> bool:
     :func:`residual_array` is below ``DEFAULT_SOLUTION_TOL``, which a
     residual that overflows to inf or nan never is."""
     if A.kind == EXACT:
-        return not any(re or im for row in _residual_numerators(A)[0] for re, im in row)
+        return not any(re or im for row in A.derived(_residual_numerators)[0] for re, im in row)
     with np.errstate(over="ignore", invalid="ignore"):
         return bool(np.linalg.norm(residual_array(A.to_numpy())) < DEFAULT_SOLUTION_TOL)
 
@@ -638,7 +640,7 @@ def classify(
     ``ValueError``.
     """
     if A.kind == EXACT:
-        R, N, D = _residual_numerators(A)
+        R, N, D = A.derived(_residual_numerators)
         if any(re or im for row in R for re, im in row):
             raise NotASolution("matrix equation residual is nonzero")
         cols = list(zip(*N))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    EXACT, Entries, GaussianRational, Mat2, Mat3, Vec3, ad, contract, numerator_vectors, times,
+    EXACT, Entries, GaussianRational, Mat2, Mat3, Vec3, ad, contract, numerator_form, times,
 )
 
 __all__ = [
@@ -155,15 +155,23 @@ def circ_from_matrix(A: Mat3) -> StructureConstants:
     """The product x o y = [f(x), y] where f maps e_i to row i of A.
 
     Row i of the table is the matrix of y -> [f(e_i), y] = -[y, f(e_i)], so
-    each entry is an entry of A, its negation or zero.
+    each entry is an entry of A, its negation or zero.  An exact table
+    keeps its numerator form, placed the same way from A's, and its
+    derivation form: row i of the table is ad(-f(e_i)).
     """
-    zero = GaussianRational(0) if A.kind == EXACT else 0j
-    placed = (zero, *A.entries, *[-x for x in A.entries])
-    return StructureConstants._of([placed[n] for n in _CIRC_SLOTS])
-
-
-#: structure constants of the fixed Lie bracket: x o y = [x, y] for f = id
-LIE_BRACKET = circ_from_matrix(Mat3.identity())
+    exact = A.kind == EXACT
+    placed = (GaussianRational(0) if exact else 0j, *A.entries, *[-x for x in A.entries])
+    c = StructureConstants._of([placed[n] for n in _CIRC_SLOTS])
+    if exact:
+        (r0, r1, r2), D = A.derived(numerator_form)
+        pairs = (*r0, *r1, *r2)
+        negated = [(-p, -q) for p, q in pairs]
+        placed = ((0, 0), *pairs, *negated)
+        triples = iter([placed[n] for n in _CIRC_SLOTS])
+        c.keep(numerator_form, (tuple(zip(triples, triples, triples)), D))
+        triples = iter(negated)
+        c.keep(_derivation_form, tuple(zip(triples, triples, triples)))
+    return c
 
 
 def matrix_from_circ(c: StructureConstants) -> Mat3:
@@ -248,10 +256,27 @@ def _violations(defects, D, exact):
 
 def _table_form(c: StructureConstants):
     """The table as ``C[i][j]``, the vector of e_i o e_j, with its D."""
-    vecs, D = numerator_vectors(c.entries)
+    vecs, D = c.derived(numerator_form)
     return (vecs[0:3], vecs[3:6], vecs[6:9]), D, c.kind == EXACT
 
 
+def _antisymmetric(L):
+    """Whether the matrix of pairs ``L`` satisfies L' = -L exactly."""
+    pairs = ((L[i][j], L[j][i]) for i in range(3) for j in range(i, 3))
+    return all(p == -r and q == -s for (p, q), (r, s) in pairs)
+
+
+def _derivation_form(c: StructureConstants):
+    """The rows w_d of W with L_d = ad(w_d), read off where ``ad`` places w,
+    when every L_d of the exact table is antisymmetric; otherwise None."""
+    C, _, exact = _table_form(c)
+    if exact and all(_antisymmetric(L) for L in C):
+        return tuple((L[2][1], L[0][2], L[1][0]) for L in C)
+    return None
+
+
+#: structure constants of the fixed Lie bracket: x o y = [x, y] for f = id
+LIE_BRACKET = circ_from_matrix(Mat3.identity())
 #: ``_BRACKET[i][j]`` holds the coordinates of [e_i, e_j] as int pairs
 _BRACKET = _table_form(LIE_BRACKET)[0]
 
@@ -283,15 +308,8 @@ def _postlie_defects(C, D):
                 yield "postlie-4", (a + 1, b + 1, d + 1), 1, r
 
 
-def _antisymmetric(L):
-    """Whether the matrix of pairs ``L`` satisfies L' = -L exactly."""
-    pairs = ((L[i][j], L[j][i]) for i in range(3) for j in range(i, 3))
-    return all(p == -r and q == -s for (p, q), (r, s) in pairs)
-
-
-def _derivation_postlie_defects(C, D):
-    # every C[d] is ad(w_d), read off where ``ad`` places w; postlie-4 is zero
-    W = tuple((L[2][1], L[0][2], L[1][0]) for L in C)
+def _derivation_postlie_defects(C, W, D):
+    # every C[d] is ad(w_d); postlie-4 is zero
     sides = ((1, 0), (-1, 0), (D, 0))
     ads = {}
     for b, d in ((0, 1), (0, 2), (1, 2)):
@@ -315,8 +333,9 @@ def check_postlie(c: StructureConstants) -> list[IdentityViolation]:
     antisymmetric is decided in derivation form, with the same list.
     """
     C, D, exact = _table_form(c)
-    if exact and all(_antisymmetric(L) for L in C):
-        return _violations(_derivation_postlie_defects(C, D), D, exact)
+    W = c.derived(_derivation_form)
+    if W is not None:
+        return _violations(_derivation_postlie_defects(C, W, D), D, exact)
     return _violations(_postlie_defects(C, D), D, exact)
 
 
@@ -375,7 +394,7 @@ def check_rota_baxter(A: Mat3) -> list[IdentityViolation]:
     """Check on all basis pairs that f given by the rows of A satisfies
     [f(x),f(y)] = f([f(x),y] + [x,f(y)] + [x,y])."""
     exact = A.kind == EXACT
-    F, D = numerator_vectors(A.entries)
+    F, D = A.derived(numerator_form)
     return _violations(_rota_baxter_defects(F, D, exact), D, exact)
 
 

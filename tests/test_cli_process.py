@@ -65,6 +65,43 @@ def in_process(capsys, *argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+#: two threads make the package's first numpy call at once
+FIRST_NUMPY_CALL_RACE = """
+import threading
+from postlie_sl2._numpy import np
+barrier = threading.Barrier(2)
+errors = []
+def first_call():
+    barrier.wait()
+    try:
+        np.zeros(3)
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=first_call) for _ in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(errors)
+"""
+
+
+def test_first_numpy_call_is_safe_under_threads():
+    # a thread must not read numpy while another is still executing it
+    for _ in range(5):
+        proc = python("-c", FIRST_NUMPY_CALL_RACE)
+        assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr + proc.stdout
+
+
+def test_loaded_numpy_is_the_plain_module():
+    proc = python(
+        "-c",
+        "import sys, types; from postlie_sl2._numpy import np; np.zeros(1); "
+        "print(type(np) is types.ModuleType and np is sys.modules['numpy'])",
+    )
+    assert proc.stdout.strip() == "True", proc.stderr
+
+
 class TestCommandsStartWithoutNumpy:
     def test_import(self):
         proc = python(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -552,6 +553,84 @@ class TestFlatEntries:
         # an int scales either kind
         assert Mat3.identity().scale(2) == Mat3.diag(2, 2, 2)
         assert Vec3([1.0, 0, 0]).scale(-3) == Vec3([-3.0, 0.0, 0.0])
+
+
+class TestFloatingConstruction:
+    """All-complex finite entries take the fast path; anything else takes
+    the general one, with its conversions and messages."""
+
+    def test_all_complex_entries(self):
+        rows = [[1 + 2j, -0.0 + 0j, 3j], [0j, complex(-0.0, -0.0), 2 + 0j], [1j, 0j, -1 + 0j]]
+        M = Mat3(rows)
+        assert M.kind == linalg.FLOATING
+        assert [_bits(z) for z in M.entries] == [_bits(z) for r in rows for z in r]
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)])
+    def test_non_finite_complex_is_refused(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite value in entries: " + re.escape(repr(bad))):
+            Mat3([[1j, 0j, 0j], [0j, bad, 0j], [0j, 0j, 1j]])
+        with pytest.raises(ValueError, match=r"non-finite value in coordinates: " + re.escape(repr(bad))):
+            Vec3([1j, 2j, bad])
+
+    def test_complex_with_exact_is_refused(self):
+        for other in (IM, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="mixed exact and floating entries"):
+                Mat3([[1j, 0j, 0j], [0j, other, 0j], [0j, 0j, 1j]])
+
+    def test_floats_and_ints_beside_complex_become_complex(self):
+        M = Mat3([[1j, 2.5, -0.0], [3, 0j, 0j], [0j, 0j, 1j]])
+        assert M.kind == linalg.FLOATING and all(type(z) is complex for z in M.entries)
+        assert [_bits(z) for z in M.entries[:4]] == [_bits(1j), _bits(2.5 + 0j), _bits(complex(-0.0)), _bits(3 + 0j)]
+        F = Mat3([[1.0, 0.0, -0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+        assert F.kind == linalg.FLOATING and F == Mat3.diag(1 + 0j, 2 + 0j, 3 + 0j)
+        with pytest.raises(ValueError, match="non-finite value in entries: nan"):
+            Mat3([[1j, 0j, 0j], [0j, math.nan, 0j], [0j, 0j, 1j]])
+
+
+class TestDerivedForms:
+    """A form is computed once per value and kept on it; values with equal
+    entries share nothing."""
+
+    def test_a_form_is_computed_once(self):
+        calls = []
+
+        def form(value):
+            calls.append(value)
+            return object()
+
+        A = Mat3([[1, 2, 3], [4, 5, 6], [7, 8, IM]])
+        first = A.derived(form)
+        assert A.derived(form) is first and calls == [A]
+
+    def test_equal_values_share_no_state(self):
+        import copy
+        import pickle
+
+        A = Mat3([[1, gr(2, 3), 3], [4, 5, 6], [7, 8, IM]])
+        kept = A.derived(linalg.numerator_form)
+        A.keep(str, "kept on A only")
+        others = [Mat3(A.rows), -(-A), A + Mat3.zero(), copy.copy(A), copy.deepcopy(A),
+                  pickle.loads(pickle.dumps(A))]
+        for B in others:
+            assert B == A and B is not A
+            assert B.derived(str) == str(B)
+            got = B.derived(linalg.numerator_form)
+            assert got == kept and got is not kept
+        assert A.derived(str) == "kept on A only"
+
+    @pytest.mark.parametrize("value", [
+        Mat3([[1, gr(2, 3), 3], [4, gr(Fraction(1, 5), 1), 6], [7, 8, IM]]),
+        Mat3.diag(1 + 0j, -0.0 + 2j, 0.5j),
+        Vec3([gr(Fraction(1, 4)), 0, IM]),
+    ])
+    def test_numerator_form_is_the_numerator_vectors(self, value):
+        assert value.derived(linalg.numerator_form) == linalg.numerator_vectors(value.entries)
+
+    def test_keep_hands_a_result_to_derived(self):
+        A = Mat3.identity()
+        A.keep(linalg.numerator_form, "handed")
+        assert A.derived(linalg.numerator_form) == "handed"
+        assert Mat3.identity().derived(linalg.numerator_form) == linalg.numerator_vectors(A.entries)
 
 
 # -- basic matrix operations -----------------------------------------------

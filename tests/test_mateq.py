@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -20,6 +21,7 @@ from postlie_sl2.mateq import (
     residual,
     residual_array,
 )
+from postlie_sl2.sl2 import check_postlie, check_rota_baxter, circ_from_matrix
 from postlie_sl2.symcanon import (
     FormKind,
     canonical_matrix,
@@ -28,6 +30,7 @@ from postlie_sl2.symcanon import (
 )
 
 from conftest import (
+    FIVE_TAGS,
     ReferenceGaussianRational,
     exact_congruate,
     gr,
@@ -1164,3 +1167,59 @@ class TestRank3Rigidity:
     def test_classify_requires_minus_identity(self):
         report = classify(-Mat3.identity())
         assert report.tag == FamilyTag.minus_identity()
+
+
+def _classify_outcome(A):
+    try:
+        return classify(A)
+    except (mateq.NotASolution, mateq.Inconclusive) as exc:
+        return type(exc), exc.args
+
+
+#: the exact calls of a certificate, which share A's kept forms
+CERTIFICATE_CALLS = {
+    "residual": residual,
+    "is_solution": is_solution,
+    "classify": _classify_outcome,
+    "check_postlie": lambda A: check_postlie(circ_from_matrix(A)),
+    "check_rota_baxter": check_rota_baxter,
+}
+
+
+class TestKeptForms:
+    """An exact matrix keeps its numerator form and its residual numerators;
+    whatever the calls before, every call answers as on a fresh value."""
+
+    def corpus(self):
+        out = [Mat3.zero(), -Mat3.identity()]
+        for n, tag in enumerate(FIVE_TAGS[2:]):
+            A = exact_congruate(tag, 80 + n)
+            out += [A, A + Mat3.diag(0, 0, gr(Fraction(-2, 7), 1))]
+        out.append(Mat3([[gr(Fraction(p, q), q - p) for p in range(3)] for q in (3, 5, 7)]))
+        return out
+
+    def test_every_call_order_answers_as_fresh_values(self):
+        corpus = self.corpus()
+        assert sum(is_solution(A) for A in corpus) == 5
+        for A in corpus:
+            fresh = {name: call(Mat3(A.rows)) for name, call in CERTIFICATE_CALLS.items()}
+            for order in itertools.permutations(CERTIFICATE_CALLS):
+                B = Mat3(A.rows)
+                assert {name: CERTIFICATE_CALLS[name](B) for name in order} == fresh
+                # and once more, every form warm
+                assert {name: CERTIFICATE_CALLS[name](B) for name in order} == fresh
+
+    def test_residual_numerators_are_computed_once(self, monkeypatch):
+        A = exact_congruate(mateq.FamilyTag.non_sym_rank1(), 90)
+        want = (residual(A), is_solution(A), classify(A))
+        calls = []
+        compute = mateq._residual_numerators
+
+        def counted(M):
+            calls.append(M)
+            return compute(M)
+
+        monkeypatch.setattr(mateq, "_residual_numerators", counted)
+        B = Mat3(A.rows)
+        assert (residual(B), is_solution(B), classify(B)) == want
+        assert calls == [B]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postlie_sl2 import mateq, serialize, sl2, so3c
-from postlie_sl2.linalg import GaussianRational, Mat3, Vec3
+from postlie_sl2 import linalg, mateq, serialize, sl2, so3c
+from postlie_sl2.linalg import GaussianRational, Mat3, Vec3, numerator_form, numerator_vectors
 from postlie_sl2.sl2 import (
     LIE_BRACKET,
     NotAdjointForm,
@@ -714,3 +714,46 @@ class TestDerivationForm:
         c = circ_from_matrix(exact_congruate(mateq.FamilyTag.trace_minus_2(), 5).to_floating())
         _forbid(monkeypatch, "_derivation_postlie_defects")
         assert check_postlie(c) == []
+
+
+class TestPlacedTables:
+    """``circ_from_matrix`` hands an exact table the numerator and
+    derivation forms it placed from A's numerators; a table built any other
+    way, from JSON say, computes them from its entries."""
+
+    @given(exact_mats)
+    def test_placed_forms_equal_computed_ones(self, A):
+        c = circ_from_matrix(A)
+        rebuilt = StructureConstants(c.table)
+        assert c.derived(numerator_form) == numerator_vectors(c.entries)
+        assert c.derived(sl2._derivation_form) == rebuilt.derived(sl2._derivation_form)
+        assert c.derived(sl2._derivation_form) is not None
+
+    def test_check_postlie_reads_the_placed_forms(self, monkeypatch):
+        tables = []
+        for n, tag in enumerate(MOVED_TAGS):
+            A = exact_congruate(tag, 60 + n)
+            for M in (A, A + Mat3.diag(gr(Fraction(1, 3)), 0, 0)):
+                M.derived(numerator_form)
+                tables.append(circ_from_matrix(M))
+        want = [reference_check_postlie(c) for c in tables]
+        assert [bool(w) for w in want] == [False, True] * len(MOVED_TAGS)
+
+        def forbidden(*args):
+            raise AssertionError("a placed table's numerator form was computed again")
+
+        monkeypatch.setattr(linalg, "numerator_vectors", forbidden)
+        _forbid(monkeypatch, "_antisymmetric")
+        _forbid(monkeypatch, "_postlie_defects")
+        assert [check_postlie(c) for c in tables] == want
+
+    def test_json_tables_are_decided_from_their_entries(self):
+        for n, tag in enumerate(MOVED_TAGS):
+            A = exact_congruate(tag, 70 + n)
+            for M in (A, A + Mat3.diag(0, gr(0, Fraction(2, 5)), 0)):
+                c = circ_from_matrix(M)
+                doc = json.loads(json.dumps(serialize.structure_constants_to_json(c)))
+                read = serialize.structure_constants_from_json(doc)
+                assert read == c
+                assert check_postlie(read) == check_postlie(c) == reference_check_postlie(c)
+                assert read.derived(numerator_form) == c.derived(numerator_form)
